@@ -8,10 +8,10 @@ from .kernels import (
     eval_kernel,
     gram_matrix,
     kernel_diag,
-    modified_bessel_K,
 )
 from .gp_core import (
     Design,
+    ImseOperator,
     ObservationSet,
     Predictor,
     Quadrature,
@@ -29,7 +29,6 @@ from .gp_core import (
 from .spectrum import (
     Spectrum,
     analytic_eigenvalue,
-    eigenfunction_at,
     nystrom_spectrum,
     save_spectrum_csv,
 )
@@ -75,12 +74,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KernelSpec", "cross_matrix", "eval_kernel", "gram_matrix", "kernel_diag",
-    "modified_bessel_K",
-    "Design", "ObservationSet", "Predictor", "Quadrature",
+    "Design", "ImseOperator", "ObservationSet", "Predictor", "Quadrature",
     "SingularCovarianceError", "UniformBox", "empirical_mse", "fit_blup",
     "integrated_mse", "load_observations_csv", "max_squared_error",
     "predict_mean", "predict_mse", "save_observations_csv",
-    "Spectrum", "analytic_eigenvalue", "eigenfunction_at", "nystrom_spectrum",
+    "Spectrum", "analytic_eigenvalue", "nystrom_spectrum",
     "save_spectrum_csv",
     "RateLaw", "asymptotic_imse", "asymptotic_imse_bounds", "asymptotic_mse_at",
     "b_tau", "empirical_learning_curve", "fit_loglog_slope", "rate_law",

@@ -15,14 +15,13 @@ determinism (descending fractional part, then original index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import csv
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .gp_core import Design, Quadrature, _factor_with_jitter, _FLOAT_FMT
-from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points
+from .gp_core import Design, ImseOperator, Quadrature, _FLOAT_FMT
+from .kernels import KernelSpec, kernel_diag
 
 
 class InfeasibleBudgetError(ValueError):
@@ -40,6 +39,7 @@ class AllocationPlan:
     s_int: np.ndarray | None = None
     achieved_imse: float | None = None
     quasi_optimal: bool = False
+    uniform_imse: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.s_real, dtype=float).ravel()
@@ -73,9 +73,7 @@ def local_imse_weight(spec: KernelSpec, x, eta: Quadrature):
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 0 or (pts.ndim == 1 and (spec.dim > 1 or pts.size == 1))
-    X = _as_points(x, spec.dim)
-    K = cross_matrix(spec, eta.nodes, X)
-    c = eta.weights @ (K * K)
+    c = ImseOperator(spec, x, eta).local_weight()
     return float(c[0]) if single else c
 
 
@@ -93,6 +91,13 @@ def optimal_real_allocation(
     non-diagonal covariance matrices the same formulas are applied and
     the plan is flagged quasi-optimal.
     """
+    return _real_allocation(spec, design, noise, T, eta)[0]
+
+
+def _real_allocation(
+    spec: KernelSpec, design: Design, noise, T: int, eta: Quadrature
+) -> tuple[AllocationPlan, ImseOperator, np.ndarray]:
+    """optimal_real_allocation, also returning its operator and noise vector."""
     sig2 = np.asarray(noise, dtype=float).ravel()
     n = design.n
     if len(sig2) != n:
@@ -107,21 +112,15 @@ def optimal_real_allocation(
     kdiag = kernel_diag(spec, design.points)
     if np.any(kdiag <= 0):
         raise ValueError("allocation requires k(x_i, x_i) > 0 at every point")
-    K = cross_matrix(spec, design.points, design.points)
-    corr = np.abs(K) / np.sqrt(np.outer(kdiag, kdiag))
+    op = ImseOperator(spec, design.points, eta)
+    corr = np.abs(op.K) / np.sqrt(np.outer(kdiag, kdiag))
     np.fill_diagonal(corr, 0.0)
     quasi = bool(corr.max() > 1e-8)
 
     if T == n:
-        return AllocationPlan(
-            s_real=np.ones(n),
-            budget=T,
-            i_star=n,
-            ordering=np.arange(n),
-            quasi_optimal=quasi,
-        )
+        return AllocationPlan(np.ones(n), T, n, np.arange(n), quasi_optimal=quasi), op, sig2
 
-    c = np.atleast_1d(local_imse_weight(spec, design.points, eta))
+    c = op.local_weight()
     g = (kdiag + sig2) / np.sqrt(c * sig2)
     order = np.argsort(-g, kind="stable")
     gs, ks, ss, cs = g[order], kdiag[order], sig2[order], c[order]
@@ -145,13 +144,14 @@ def optimal_real_allocation(
     s_sorted = np.maximum(s_sorted, 1.0)
     s_real = np.empty(n)
     s_real[order] = s_sorted
-    return AllocationPlan(
+    plan = AllocationPlan(
         s_real=s_real,
         budget=T,
         i_star=i_star,
         ordering=order,
         quasi_optimal=quasi,
     )
+    return plan, op, sig2
 
 
 def round_allocation(s_real, T: int) -> np.ndarray:
@@ -193,28 +193,23 @@ def heteroscedastic_imse(spec: KernelSpec, design: Design, noise, s, eta: Quadra
         raise ValueError("replication counts must be >= 1")
     if np.any(sig2 < 0):
         raise ValueError("noise variances must be nonnegative")
-    K = gram_matrix(spec, design.points)
-    delta = sig2 / s
-    L, _ = _factor_with_jitter(K + np.diag(delta), force_jitter=float(delta.min()) == 0.0)
-    Kq = cross_matrix(spec, eta.nodes, design.points)
-    V = solve_triangular(L, Kq.T, lower=True)
-    mse = np.maximum(kernel_diag(spec, eta.nodes) - np.einsum("ij,ij->j", V, V), 0.0)
-    return float(eta.weights @ mse)
+    return ImseOperator(spec, design.points, eta).imse(sig2 / s)
 
 
 def plan_allocation(spec: KernelSpec, design: Design, noise, T: int, eta: Quadrature) -> AllocationPlan:
-    """Full pipeline: real optimum, rounding, achieved IMSE."""
-    plan = optimal_real_allocation(spec, design, noise, T, eta)
-    s_int = round_allocation(plan.s_real, T)
-    imse = heteroscedastic_imse(spec, design, noise, s_int, eta)
-    return AllocationPlan(
-        s_real=plan.s_real,
-        budget=plan.budget,
-        i_star=plan.i_star,
-        ordering=plan.ordering,
+    """Full pipeline: real optimum, rounding, achieved IMSE.
+
+    ``uniform_imse`` is the IMSE of the same budget split as evenly as
+    round_allocation allows, the baseline the optimum is compared with.
+    """
+    plan, op, sig2 = _real_allocation(spec, design, noise, T, eta)
+    s_int = round_allocation(plan.s_real, plan.budget)
+    s_uniform = round_allocation(np.full(plan.n, plan.budget / plan.n), plan.budget)
+    return replace(
+        plan,
         s_int=s_int,
-        achieved_imse=imse,
-        quasi_optimal=plan.quasi_optimal,
+        achieved_imse=op.imse(sig2 / s_int),
+        uniform_imse=op.imse(sig2 / s_uniform),
     )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import heteroscedastic_imse, plan_allocation, round_allocation, save_plan_csv
+from .allocation import plan_allocation, save_plan_csv
 from .gp_core import Design, Quadrature, UniformBox, load_observations_csv, save_observations_csv
 from .kernels import KernelSpec
 from .learning_curve import asymptotic_imse, empirical_learning_curve, rate_law
@@ -325,8 +325,6 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     design = Design(points, box)
     eta = _parse_measure(cfg["eta"], "allocate.eta") if "eta" in cfg else _default_eta(design.dim)
     plan = plan_allocation(spec, design, noise, T, eta)
-    s_uni = round_allocation(np.full(design.n, T / design.n), T)
-    imse_uni = heteroscedastic_imse(spec, design, noise, s_uni, eta)
     save_plan_csv(out / "plan.csv", design, noise, plan)
     with open(out / "summary.json", "w") as fh:
         json.dump(
@@ -334,7 +332,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
                 "T": T,
                 "i_star": plan.i_star,
                 "imse_optimal": plan.achieved_imse,
-                "imse_uniform": imse_uni,
+                "imse_uniform": plan.uniform_imse,
                 "quasi_optimal": plan.quasi_optimal,
             },
             fh, indent=2,
@@ -417,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, required=True, help="random seed (mandatory)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (default 1)")
     return parser
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
@@ -174,7 +174,10 @@ class ObservationSet:
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float).ravel()
         nv = np.asarray(self.noise_var, dtype=float).ravel()
-        s = np.asarray(self.s).ravel().astype(int)
+        s_in = np.asarray(self.s, dtype=float).ravel()
+        if not np.all(np.isfinite(s_in) & (s_in == np.floor(s_in))):
+            raise ValueError("replication counts must be whole numbers")
+        s = s_in.astype(int)
         if not (len(means) == len(nv) == len(s)):
             raise ValueError("means, noise_var and s must have equal length")
         if np.any(s < 1):
@@ -294,13 +297,17 @@ def predict_mean(p: Predictor, x):
     return float(out[0]) if single else out
 
 
+def _pointwise_mse(L: np.ndarray, Kx: np.ndarray, kx: np.ndarray) -> np.ndarray:
+    """k(x, x) - k(x)' (L L')^{-1} k(x) for each row of Kx, clamped at zero."""
+    V = solve_triangular(L, Kx.T, lower=True)
+    return np.maximum(kx - np.einsum("ij,ij->j", V, V), 0.0)
+
+
 def predict_mse(p: Predictor, x):
     """Pointwise mean squared error of the kriging mean; clamped at zero."""
     Kx, single = _cross(p, x)
-    V = solve_triangular(p.chol, Kx.T, lower=True)
     X = _as_points(x, p.design.dim)
-    out = kernel_diag(p.kernel, X) - np.einsum("ij,ij->j", V, V)
-    out = np.maximum(out, 0.0)
+    out = _pointwise_mse(p.chol, Kx, kernel_diag(p.kernel, X))
     return float(out[0]) if single else out
 
 
@@ -311,6 +318,46 @@ def integrated_mse(p: Predictor, quadrature: Quadrature) -> float:
     mse = predict_mse(p, quadrature.nodes)
     mse = np.atleast_1d(mse)
     return float(quadrature.weights @ mse)
+
+
+@dataclass(frozen=True)
+class ImseOperator:
+    """Quadrature IMSE of the BLUP on fixed points, for any noise diagonal.
+
+    Holds the Gram matrix ``K`` of the points, the cross matrix ``Kq``
+    from the quadrature nodes to the points and the prior variances
+    ``kq`` at the nodes, so that many IMSE values on one design build
+    each kernel matrix once.
+    """
+
+    kernel: KernelSpec
+    points: InitVar[np.ndarray]
+    quadrature: Quadrature
+    K: np.ndarray = field(init=False, repr=False)
+    Kq: np.ndarray = field(init=False, repr=False)
+    kq: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, points):
+        nodes = self.quadrature.nodes
+        for name, arr in (
+            ("K", gram_matrix(self.kernel, points)),
+            ("Kq", cross_matrix(self.kernel, nodes, points)),
+            ("kq", kernel_diag(self.kernel, nodes)),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def imse(self, noise_var) -> float:
+        """IMSE under noise diagonal ``noise_var``, factorized as fit_blup does."""
+        delta = np.asarray(noise_var, dtype=float).ravel()
+        if len(delta) != len(self.K):
+            raise ValueError("noise vector length must match the number of points")
+        L, _ = _factor_with_jitter(self.K + np.diag(delta), force_jitter=float(delta.min()) == 0.0)
+        return float(self.quadrature.weights @ _pointwise_mse(L, self.Kq, self.kq))
+
+    def local_weight(self) -> np.ndarray:
+        """c(x_j) = sum_q w_q k(x_q, x_j)^2 at every point."""
+        return self.quadrature.weights @ (self.Kq * self.Kq)
 
 
 def empirical_mse(p: Predictor, test_points, test_values) -> float:

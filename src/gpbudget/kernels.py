@@ -15,7 +15,6 @@ the uniform measure on [0, 1].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,24 +110,6 @@ class KernelSpec:
         if "rank_terms" in kwargs:
             kwargs["rank_terms"] = tuple((w, b) for w, b in kwargs["rank_terms"])
         return cls(**kwargs)
-
-
-def modified_bessel_K(nu: float, z: float) -> float:
-    """Modified Bessel function of the second kind, K_nu(z).
-
-    Symmetric in the sign of ``nu``.  Overflow near z = 0 with large nu
-    saturates to +inf with a warning rather than raising.
-    """
-    if not np.isfinite(z) or z <= 0:
-        raise ValueError(f"modified_bessel_K requires z > 0, got {z}")
-    val = float(kv(abs(nu), z))
-    if np.isinf(val):
-        warnings.warn(
-            f"K_nu overflow for nu={nu}, z={z}; returning inf",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return val
 
 
 def _matern_corr(r: np.ndarray, nu: float) -> np.ndarray:

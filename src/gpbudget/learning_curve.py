@@ -22,17 +22,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
 
 from .gp_core import (
     Design,
+    ImseOperator,
     ObservationSet,
     Quadrature,
     UniformBox,
     fit_blup,
     integrated_mse,
 )
-from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points
+from .kernels import KernelSpec, _as_points
 from .spectrum import Spectrum, eigenfunction_matrix
 
 _RATE_FAMILIES = ("degenerate", "fbm", "matern1d", "matern_tensor", "gaussian")
@@ -170,18 +170,10 @@ def empirical_learning_curve(
             m1 = max(2, int(round(4000 ** (1 / spec.dim))))
             quadrature = Quadrature.tensor_trapezoid([m1] * spec.dim, measure.bounds)
     streams = np.random.SeedSequence(seed).spawn(n_designs)
-    kq = kernel_diag(spec, quadrature.nodes)
     per_design = np.empty((n_designs, len(tau_grid)))
     for r, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        pts = measure.sample(n, rng)
-        K = gram_matrix(spec, pts)
-        Kq = cross_matrix(spec, quadrature.nodes, pts)
-        for t, tau in enumerate(tau_grid):
-            c, low = cho_factor(K + n * tau * np.eye(n), lower=True)
-            V = solve_triangular(c, Kq.T, lower=True)
-            mse = np.maximum(kq - np.einsum("ij,ij->j", V, V), 0.0)
-            per_design[r, t] = quadrature.weights @ mse
+        op = ImseOperator(spec, measure.sample(n, np.random.default_rng(ss)), quadrature)
+        per_design[r] = [op.imse(np.full(n, n * tau)) for tau in tau_grid]
     mean = per_design.mean(axis=0)
     if n_designs > 1:
         stderr = per_design.std(axis=0, ddof=1) / math.sqrt(n_designs)
@@ -195,7 +187,7 @@ def single_design_imse(spec: KernelSpec, design: Design, tau: float,
     """IMSE of one fixed design under homoscedastic noise n*tau.
 
     Reference implementation through the predictor path; the Monte-Carlo
-    driver uses an equivalent factorization-reuse fast path.
+    driver reuses one ImseOperator per design across the tau grid.
     """
     n = design.n
     obs = ObservationSet(np.zeros(n), np.full(n, n * tau), np.ones(n, dtype=int))

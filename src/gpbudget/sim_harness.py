@@ -121,16 +121,12 @@ class SyntheticSimulator:
             return 1.0
         b = 0.5 * math.log(self.noise_contrast)
         if self.dim == 1:
-            g = np.linspace(0, 1, 2001)
-            u = np.sin(2 * math.pi * g)
-            w = np.full(g.size, 1.0 / (g.size - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
+            quad = Quadrature.trapezoid(2001)
+            u = np.sin(2 * math.pi * quad.nodes[:, 0])
         else:
             quad = Quadrature.tensor_trapezoid([81, 81], ((0.0, 1.0), (0.0, 1.0)))
             u = np.sin(2 * math.pi * quad.nodes[:, 0]) * np.cos(math.pi * quad.nodes[:, 1])
-            w = quad.weights
-        return float(w @ np.exp(b * u))
+        return float(quad.weights @ np.exp(b * u))
 
 
 def sample_observations(sim: SyntheticSimulator, design: Design, s, seed) -> ObservationSet:
@@ -196,10 +192,6 @@ def _write_curve_csv(path, inv_tau, mean, stderr, theory) -> None:
             writer.writerow([_FLOAT_FMT % v for v in row])
 
 
-def _inv_tau_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.geomspace(lo, hi, count)
-
-
 FIGURE1_DEFAULTS = {
     "n": 200,
     "n_designs": 10,
@@ -222,7 +214,7 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
     cfg = _merge_config(FIGURE1_DEFAULTS, config, "figure1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inv_tau = _inv_tau_grid(cfg["inv_tau_min"], cfg["inv_tau_max"], cfg["inv_tau_count"])
+    inv_tau = np.geomspace(cfg["inv_tau_min"], cfg["inv_tau_max"], cfg["inv_tau_count"])
     taus = 1.0 / inv_tau
     streams = np.random.SeedSequence(seed).spawn(len(cfg["hurst"]))
     report = {"files": [], "curves": {}}
@@ -285,7 +277,7 @@ def run_figure2(out_dir, seed: int, config: dict | None = None) -> dict:
     report = {"files": []}
 
     mc = cfg["matern"]
-    inv_tau = _inv_tau_grid(mc["inv_tau_min"], mc["inv_tau_max"], mc["inv_tau_count"])
+    inv_tau = np.geomspace(mc["inv_tau_min"], mc["inv_tau_max"], mc["inv_tau_count"])
     taus = 1.0 / inv_tau
     spec = KernelSpec(family="matern_tensor", nu=mc["nu"], lengthscales=(mc["theta"], mc["theta"]))
     quad = Quadrature.tensor_trapezoid([mc["quad_m"]] * 2, ((0.0, 1.0), (0.0, 1.0)))
@@ -307,7 +299,7 @@ def run_figure2(out_dir, seed: int, config: dict | None = None) -> dict:
     }
 
     gc = cfg["gaussian"]
-    inv_tau_g = _inv_tau_grid(gc["inv_tau_min"], gc["inv_tau_max"], gc["inv_tau_count"])
+    inv_tau_g = np.geomspace(gc["inv_tau_min"], gc["inv_tau_max"], gc["inv_tau_count"])
     taus_g = 1.0 / inv_tau_g
     spec_g = KernelSpec(family="gaussian", lengthscales=(gc["theta"],))
     quad_g = Quadrature.trapezoid(gc["quad_m"], 0.0, 1.0)
@@ -428,7 +420,10 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     s_uniform = round_allocation(np.full(n, t_pred / n), t_pred)
     plan = plan_allocation(kernel, design, noise_pp, t_pred, eta)
     table = {}
-    for label, s_vec, ss_run in (("uniform", s_uniform, ss_u), ("optimal", plan.s_int, ss_o)):
+    for label, s_vec, imse, ss_run in (
+        ("uniform", s_uniform, plan.uniform_imse, ss_u),
+        ("optimal", plan.s_int, plan.achieved_imse, ss_o),
+    ):
         obs_a = sample_observations(sim, design, s_vec, ss_run)
         pred_a = fit_blup(
             kernel, design,
@@ -438,7 +433,7 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
         table[label] = {
             "mse": empirical_mse(pred_a, test_design.points, test_values),
             "maxse": max_squared_error(pred_a, test_design.points, test_values),
-            "imse_model": heteroscedastic_imse(kernel, design, noise_pp, s_vec, eta),
+            "imse_model": imse,
         }
     rho = float(spearmanr(plan.s_int, noise_pp)[0])
 

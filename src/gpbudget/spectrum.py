@@ -126,27 +126,13 @@ def eigenfunction_matrix(s: Spectrum, spec: KernelSpec, x, p_max: int | None = N
     _require_table(s)
     P = s.n_terms if p_max is None else int(p_max)
     if P < 1 or P > s.n_terms:
-        raise ValueError(f"p_max must be in 1..{s.n_terms}")
+        raise ValueError(f"p_max {P} out of range: must be in 1..{s.n_terms}")
     lam = s.eigenvalues[:P]
     if np.any(lam <= 0):
         raise ValueError("cannot extend an eigenfunction with zero eigenvalue")
     X = _as_points(x, s.nodes.shape[1])
     Kx = cross_matrix(spec, X, s.nodes)
     return (Kx @ (s.weights[:, None] * s.eigvec_table[:, :P])) / lam[None, :]
-
-
-def eigenfunction_at(s: Spectrum, spec: KernelSpec, p: int, x) -> float:
-    """Value of the p-th eigenfunction at a single point."""
-    if p < 0 or p >= s.n_terms:
-        raise ValueError(f"eigenfunction index {p} out of range")
-    if s.eigenvalues[p] <= 0:
-        raise ValueError(f"eigenvalue {p} is zero; extension undefined")
-    _require_table(s)
-    lam = s.eigenvalues[p]
-    X = _as_points(x, s.nodes.shape[1])
-    Kx = cross_matrix(spec, X, s.nodes)
-    val = (Kx @ (s.weights * s.eigvec_table[:, p])) / lam
-    return float(val[0])
 
 
 def analytic_eigenvalue(family: str, p: int, *, nu: float | None = None,

@@ -244,6 +244,7 @@ class TestPlanPipeline:
         plan = plan_allocation(spec, design, noise, 200, ETA)
         uniform = round_allocation(np.full(25, 8.0), 200)
         imse_uniform = heteroscedastic_imse(spec, design, noise, uniform, ETA)
+        assert plan.uniform_imse == imse_uniform
         assert plan.achieved_imse < imse_uniform
 
     def test_plan_carries_integer_allocation_and_imse(self):

@@ -388,6 +388,18 @@ class TestAllocateCommand:
         assert "points or data_csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "allocate"])
+def test_fractional_replicate_count_exits_2(command, tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    data.write_text("x_1,z,s,sigma_eps2\n0.2,1.0,2,0.01\n0.5,1.5,2.5,0.01\n0.8,0.7,3,0.01\n")
+    cfg = {"data_csv": str(data)}
+    if command == "allocate":
+        cfg.update(kernel={"family": "brownian"}, T=10)
+    rc, _ = run_cli(command, tmp_path, cfg)
+    assert rc == 2
+    assert "whole numbers" in capsys.readouterr().err
+
+
 class TestManifest:
     def test_contents(self, tmp_path):
         rc, out = run_cli("plan", tmp_path, PLAN_CFG, seed=17)

@@ -79,6 +79,12 @@ class TestDesignAndObservations:
         with pytest.raises(ValueError):
             ObservationSet([1.0, 2.0], [0.1], [1])
 
+    @pytest.mark.parametrize("s", [2.5, 1.000001, math.nan, math.inf])
+    def test_non_integer_replicate_count_rejected(self, s):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ObservationSet([1.0, 2.0], [0.1, 0.1], [2, s])
+        assert ObservationSet([1.0, 2.0], [0.1, 0.1], [2, 3.0]).s.tolist() == [2, 3]
+
     def test_from_replicates(self):
         obs = ObservationSet.from_replicates([[1.0, 3.0], [2.0, 2.0, 2.0]])
         assert obs.means == pytest.approx([2.0, 2.0])

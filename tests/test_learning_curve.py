@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpbudget.gp_core import Quadrature, UniformBox
+from gpbudget.gp_core import (
+    Design,
+    ImseOperator,
+    ObservationSet,
+    Quadrature,
+    UniformBox,
+    fit_blup,
+    integrated_mse,
+)
 from gpbudget.kernels import KernelSpec
 from gpbudget.learning_curve import (
     RateLaw,
@@ -33,6 +41,17 @@ from gpbudget.spectrum import Spectrum, nystrom_spectrum
 
 BROWNIAN = KernelSpec(family="brownian")
 CONSTANT = KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"),))
+EVERY_FAMILY = (
+    BROWNIAN,
+    KernelSpec(family="matern1d", nu=1.31, lengthscales=(0.3,)),
+    KernelSpec(family="matern1d", nu=2.5, lengthscales=(0.3,)),
+    KernelSpec(family="matern_tensor", nu=1.31, lengthscales=(0.3,)),
+    KernelSpec(family="gaussian", lengthscales=(0.3,)),
+    KernelSpec(family="fbm", hurst=0.7),
+    KernelSpec(family="exponential", lengthscales=(0.3,)),
+    KernelSpec(family="triangular", lengthscales=(0.3,)),
+    KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"), (0.5, "leg:2"))),
+)
 
 # direct-summation oracles for the Brownian kernel at tau = 0.05
 BROWNIAN_IMSE_LIMIT_TAU_005 = 0.11177422592127886
@@ -213,19 +232,33 @@ class TestEmpiricalLearningCurve:
         mean, _ = empirical_learning_curve(BROWNIAN, 40, taus, 4, seed=5)
         assert np.all(np.diff(mean) < 0)
 
-    def test_matches_reference_predictor_path(self):
+    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda k: k.family if k.nu is None else f"{k.family}-{k.nu}")
+    def test_matches_reference_predictor_path(self, spec):
+        # the operator path runs the same arithmetic as fit_blup plus
+        # integrated_mse, so the two agree exactly, also when a zero noise
+        # entry forces the jitter
         seed, n = 77, 25
         quad = Quadrature.trapezoid(500, 0.0, 1.0)
         mean, _ = empirical_learning_curve(
-            BROWNIAN, n, [0.07], 1, seed=seed, quadrature=quad
+            spec, n, [0.07], 1, seed=seed, quadrature=quad
         )
         ss = np.random.SeedSequence(seed).spawn(1)[0]
         rng = np.random.default_rng(ss)
         pts = UniformBox(((0.0, 1.0),)).sample(n, rng)
-        from gpbudget.gp_core import Design
 
-        ref = single_design_imse(BROWNIAN, Design(pts), 0.07, quad)
-        assert mean[0] == pytest.approx(ref, rel=1e-10)
+        assert mean[0] == single_design_imse(spec, Design(pts), 0.07, quad)
+        delta = np.linspace(0.0, 0.2, n)
+        obs = ObservationSet(np.zeros(n), delta, np.ones(n, dtype=int))
+        ref = integrated_mse(fit_blup(spec, Design(pts), obs), quad)
+        assert ImseOperator(spec, pts, quad).imse(delta) == ref
+
+    def test_tiny_noise_goes_through_jitter_retry(self):
+        # a plain Cholesky of K + n tau I fails at this tau
+        spec = KernelSpec(family="gaussian", lengthscales=(0.5,))
+        mean, _ = empirical_learning_curve(
+            spec, 200, [1e-20], 1, 0, quadrature=Quadrature.trapezoid(400)
+        )
+        assert np.isfinite(mean[0])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

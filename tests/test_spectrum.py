@@ -17,7 +17,6 @@ from gpbudget.kernels import KernelSpec, eval_kernel
 from gpbudget.spectrum import (
     Spectrum,
     analytic_eigenvalue,
-    eigenfunction_at,
     eigenfunction_matrix,
     nystrom_spectrum,
     save_spectrum_csv,
@@ -78,7 +77,7 @@ class TestNystromBasics:
         assert s.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
         assert np.all(s.eigenvalues[1:] <= 1e-10)
         assert np.allclose(s.eigvec_table[:, 0], 1.0, atol=1e-8)
-        assert eigenfunction_at(s, CONSTANT, 0, 0.387) == pytest.approx(1.0, abs=1e-10)
+        assert eigenfunction_matrix(s, CONSTANT, [0.387], p_max=1)[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_trace_identity(self):
         q = Quadrature.trapezoid(300, 0.0, 1.0)
@@ -134,17 +133,17 @@ class TestBrownianAccuracy:
         s = nystrom_spectrum(BROWNIAN, q, P=5)
         # p=0 at x=0.5: sqrt(2) sin(pi/4) = 1 exactly; for p=0 the pinned
         # sign agrees with the analytic one (the function is positive)
-        assert eigenfunction_at(s, BROWNIAN, 0, 0.5) == pytest.approx(1.0, abs=5e-3)
+        assert eigenfunction_matrix(s, BROWNIAN, [0.5], p_max=1)[0, 0] == pytest.approx(1.0, abs=5e-3)
         # higher modes carry an arbitrary overall sign; align via the
         # quadrature inner product with the analytic eigenfunction
         t = q.nodes[:, 0]
         for p in range(3):
             exact_nodes = np.sqrt(2.0) * np.sin((p + 0.5) * np.pi * t)
             sign = np.sign(q.weights @ (s.eigvec_table[:, p] * exact_nodes))
-            for x in (0.21, 0.63, 0.94):
-                assert sign * eigenfunction_at(s, BROWNIAN, p, x) == pytest.approx(
-                    brownian_eigenfunction(p, x), abs=2e-2
-                )
+            xs = (0.21, 0.63, 0.94)
+            phi = eigenfunction_matrix(s, BROWNIAN, xs, p_max=p + 1)[:, p]
+            for x, val in zip(xs, phi):
+                assert sign * val == pytest.approx(brownian_eigenfunction(p, x), abs=2e-2)
 
     def test_extension_reproduces_table_at_nodes(self):
         q = Quadrature.trapezoid(300, 0.0, 1.0)
@@ -195,18 +194,18 @@ class TestExtensionGuards:
             eigvec_table=np.ones((3, 2)),
         )
         with pytest.raises(ValueError, match="zero"):
-            eigenfunction_at(s, CONSTANT, 1, 0.5)
+            eigenfunction_matrix(s, CONSTANT, [0.5], p_max=2)
 
     def test_out_of_range_index_rejected(self):
         q = Quadrature.trapezoid(100, 0.0, 1.0)
         s = nystrom_spectrum(BROWNIAN, q, P=4)
         with pytest.raises(ValueError, match="out of range"):
-            eigenfunction_at(s, BROWNIAN, 4, 0.5)
+            eigenfunction_matrix(s, BROWNIAN, [0.5], p_max=5)
 
     def test_tableless_spectrum_cannot_extend(self):
         s = Spectrum(eigenvalues=np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="node table"):
-            eigenfunction_at(s, BROWNIAN, 0, 0.5)
+            eigenfunction_matrix(s, BROWNIAN, [0.5], p_max=1)
 
     def test_p_max_out_of_bounds(self):
         q = Quadrature.trapezoid(100, 0.0, 1.0)
