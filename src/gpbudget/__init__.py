@@ -55,6 +55,7 @@ from .allocation import (
 from .planner import (
     BudgetForecast,
     HyperparameterFit,
+    LikelihoodFitError,
     concentrated_log_likelihood,
     estimate_noise,
     fit_hyperparameters,
@@ -85,7 +86,8 @@ __all__ = [
     "AllocationPlan", "InfeasibleBudgetError", "heteroscedastic_imse",
     "local_imse_weight", "optimal_real_allocation", "plan_allocation",
     "round_allocation", "save_plan_csv",
-    "BudgetForecast", "HyperparameterFit", "concentrated_log_likelihood",
+    "BudgetForecast", "HyperparameterFit", "LikelihoodFitError",
+    "concentrated_log_likelihood",
     "estimate_noise", "fit_hyperparameters", "imse_decay", "required_budget",
     "SyntheticSimulator", "latin_hypercube_design", "run_case_study",
     "run_figure1", "run_figure2", "sample_observations",

@@ -115,10 +115,11 @@ def _parse_measure(obj, context: str) -> Quadrature:
     raise ConfigError(f"{context}: unknown measure type {kind!r}")
 
 
-def _default_eta(dim: int) -> Quadrature:
-    if dim == 1:
-        return Quadrature.trapezoid(2001, 0.0, 1.0)
-    return Quadrature.tensor_trapezoid([41] * dim, [(0.0, 1.0)] * dim)
+def _default_eta(box: UniformBox) -> Quadrature:
+    """Trapezoid rule over the design box: 2001 nodes in 1-D, 41 per axis above."""
+    if box.dim == 1:
+        return Quadrature.trapezoid(2001, *box.bounds[0])
+    return Quadrature.tensor_trapezoid([41] * box.dim, box.bounds)
 
 
 def _parse_rate(obj, context: str):
@@ -242,6 +243,9 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
                 "loglik": fit.loglik,
                 "n_local_maxima": fit.n_local_maxima,
                 "polish_improved": fit.polish_improved,
+                "n_evals": fit.n_evals,
+                "n_failed_evals": fit.n_failed_evals,
+                "n_polish_iters": fit.n_polish_iters,
                 "noise": noise,
             },
             fh, indent=2,
@@ -323,7 +327,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     hi = points.max(axis=0)
     box = UniformBox(tuple((float(l), float(max(h, l + 1e-9))) for l, h in zip(lo, hi)))
     design = Design(points, box)
-    eta = _parse_measure(cfg["eta"], "allocate.eta") if "eta" in cfg else _default_eta(design.dim)
+    eta = _parse_measure(cfg["eta"], "allocate.eta") if "eta" in cfg else _default_eta(design.measure)
     plan = plan_allocation(spec, design, noise, T, eta)
     save_plan_csv(out / "plan.csv", design, noise, plan)
     with open(out / "summary.json", "w") as fh:

@@ -21,7 +21,8 @@ import re
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points
 
@@ -243,19 +244,18 @@ class Predictor:
 
 
 def _factor_with_jitter(A: np.ndarray, force_jitter: bool) -> tuple[np.ndarray, float]:
+    A = np.asarray_chkfinite(A)
     n = len(A)
     base = np.trace(A) / n
     scales = _JITTER_SCALES if force_jitter else (0.0,) + tuple(_JITTER_SCALES[1:])
-    last_minor = n
     for scale in scales:
-        try:
-            c, _ = cho_factor(A + scale * base * np.eye(n), lower=True)
-            return np.tril(c), scale * base
-        except LinAlgError as e:
-            m = re.search(r"(\d+)-th leading minor", str(e))
-            if m:
-                last_minor = int(m.group(1))
-    raise SingularCovarianceError(last_minor)
+        L, info = dpotrf(A + scale * base * np.eye(n), lower=1, clean=1)
+        if info == 0:
+            # C order keeps the LAPACK path, and so the rounding, of the
+            # triangular solves that use the factor
+            return np.ascontiguousarray(L), scale * base
+    # info is the order of the leading minor that is not positive definite
+    raise SingularCovarianceError(info)
 
 
 def fit_blup(kernel: KernelSpec, design: Design, obs: ObservationSet, mean: float = 0.0) -> Predictor:

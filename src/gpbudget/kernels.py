@@ -127,13 +127,33 @@ def _matern_corr(r: np.ndarray, nu: float) -> np.ndarray:
     out = np.ones_like(u)
     mask = u > _MATERN_U_FLOOR
     um = u[mask]
-    # 2^{1-nu}/Gamma(nu) * u^nu * K_nu(u), evaluated in log space up front
-    # so the prefactor stays finite for large nu
-    pref = np.exp((1 - nu) * np.log(2.0) - gammaln(nu) + nu * np.log(um))
-    vals = pref * kv(nu, um)
+    vals = _matern_prefactor(um, nu) * kv(nu, um)
     # inf * 0 at the small-u end means the r -> 0 limit: correlation 1
     vals = np.where(np.isnan(vals), 1.0, vals)
     out[mask] = vals
+    return out
+
+
+def _matern_prefactor(um: np.ndarray, nu: float) -> np.ndarray:
+    """2^{1-nu}/Gamma(nu) * u^nu, in log space so it stays finite for large nu."""
+    return np.exp((1 - nu) * np.log(2.0) - gammaln(nu) + nu * np.log(um))
+
+
+def _matern_corr_dtheta(r: np.ndarray, nu: float, theta: float) -> np.ndarray:
+    """Derivative in the lengthscale theta of _matern_corr(|dx| / theta, nu).
+
+    With u = sqrt(2 nu) |dx| / theta and d/du[u^nu K_nu(u)] = -u^nu K_{nu-1}(u)
+    (Abramowitz & Stegun 9.6.28) this is pref * u * K_{nu-1}(u) / theta, for
+    every nu including the half-integer ones.  It is zero where the
+    correlation is held at 1.
+    """
+    u = np.sqrt(2 * nu) * np.asarray(r, dtype=float)
+    out = np.zeros_like(u)
+    mask = u > _MATERN_U_FLOOR
+    um = u[mask]
+    vals = _matern_prefactor(um, nu) * um * kv(nu - 1, um) / theta
+    # 0 * inf at the small-u end is the r -> 0 limit: slope 0
+    out[mask] = np.where(np.isnan(vals), 0.0, vals)
     return out
 
 
@@ -178,10 +198,14 @@ def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     Y = _as_points(y, spec.dim)
     fam = spec.family
     if fam in ("matern1d", "matern_tensor"):
+        # each axis factor depends only on the two coordinates, so the
+        # Bessel work is done once per pair of distinct values and gathered
         out = np.ones((len(X), len(Y)))
         for j, l in enumerate(spec.lengthscales):
-            r = np.abs(X[:, j][:, None] - Y[:, j][None, :]) / l
-            out *= _matern_corr(r, spec.nu)
+            xu, xi = np.unique(X[:, j], return_inverse=True)
+            yu, yi = np.unique(Y[:, j], return_inverse=True)
+            table = _matern_corr(np.abs(xu[:, None] - yu[None, :]) / l, spec.nu)
+            out *= table[xi[:, None], yi[None, :]]
         return spec.variance * out
     if fam == "gaussian":
         sq = np.zeros((len(X), len(Y)))

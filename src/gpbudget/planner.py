@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .gp_core import Design, ObservationSet
-from .kernels import KernelSpec, gram_matrix
+from .kernels import _matern_corr, _matern_corr_dtheta
 from .learning_curve import RateLaw
 
 DEFAULT_N_RANDOM = 10000
@@ -47,6 +47,13 @@ class HyperparameterFit:
     loglik: float
     n_local_maxima: int
     polish_improved: bool
+    n_evals: int
+    n_failed_evals: int
+    n_polish_iters: int
+
+
+class LikelihoodFitError(RuntimeError):
+    """Raised when the likelihood is not finite at any start of the search."""
 
 
 @dataclass(frozen=True)
@@ -82,12 +89,82 @@ def estimate_noise(obs: ObservationSet) -> tuple[np.ndarray, float]:
     return per_point, float(per_point.mean())
 
 
-def _kernel_from_params(params, d: int) -> KernelSpec:
-    nu = float(params[0])
-    theta = tuple(float(t) for t in params[1 : 1 + d])
-    if d == 1:
-        return KernelSpec(family="matern1d", nu=nu, lengthscales=theta)
-    return KernelSpec(family="matern_tensor", nu=nu, lengthscales=theta)
+def _axis_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Upper-triangle index pairs and the condensed |dx| along each axis."""
+    rows, cols = np.triu_indices(len(points), k=1)
+    return rows, cols, [np.abs(points[rows, j] - points[cols, j]) for j in range(points.shape[1])]
+
+
+def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, nu_bounds=None):
+    """Concentrated log-likelihood at params = (nu, theta_1..theta_d, sigma2).
+
+    ``pairs`` is ``_axis_distances`` of the design.  The correlation matrix
+    is assembled exactly as ``gram_matrix`` assembles it, so the value is
+    bitwise the one a freshly built Matern kernel gives.  With ``nu_bounds``
+    the result is (value, gradient).  The lengthscale and sigma2 entries are
+    dL/dp = 1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams
+    2006, eq. 5.9); the nu entry is a central difference of relative step
+    ``_FD_REL_STEP``, one-sided inside ``nu_bounds``.
+    """
+    params = np.asarray(params, dtype=float)
+    rows, cols, dists = pairs
+    nu, theta, sigma2 = float(params[0]), params[1:-1], float(params[-1])
+    n = len(resid)
+    scaled = [dj / float(t) for dj, t in zip(dists, theta)]
+    factors = [_matern_corr(rj, nu) for rj in scaled]
+    corr = np.ones(len(rows))
+    for f in factors:
+        corr *= f
+    K = np.empty((n, n))
+    K[rows, cols] = corr
+    K[cols, rows] = corr
+    K[np.diag_indices(n)] = 1.0
+    C = sigma2 * K + noise * np.eye(n)
+    c, low = cho_factor(C, lower=True)
+    alpha = cho_solve((c, low), resid)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    value = float(-0.5 * np.dot(resid, alpha) - 0.5 * logdet)
+    if nu_bounds is None:
+        return value
+
+    # at a bound the one-sided 3-point rule keeps every shifted nu inside it
+    h = _FD_REL_STEP * max(1.0, abs(nu))
+    if nu - h < nu_bounds[0]:
+        steps, coef = (h, 2 * h), (4.0, -1.0, -3.0)
+    elif nu + h > nu_bounds[1]:
+        steps, coef = (-h, -2 * h), (-4.0, 1.0, 3.0)
+    else:
+        steps, coef = (h, -h), (1.0, -1.0, 0.0)
+    shifted = [_log_likelihood(np.r_[nu + s, params[1:]], pairs, resid, noise) for s in steps]
+    grad = [(coef[0] * shifted[0] + coef[1] * shifted[1] + coef[2] * value) / (2 * h)]
+
+    W = np.outer(alpha, alpha) - cho_solve((c, low), np.eye(n))
+    w = W[rows, cols]
+    # dC/dtheta_j has a zero diagonal, so its trace term is a sum over i < k
+    for j, (rj, t) in enumerate(zip(scaled, theta)):
+        slope = _matern_corr_dtheta(rj, nu, float(t))
+        for k, f in enumerate(factors):
+            if k != j:
+                slope = slope * f
+        grad.append(sigma2 * float(np.dot(w, slope)))
+    grad.append(0.5 * float(np.trace(W)) + float(np.dot(w, corr)))
+    return value, np.array(grad)
+
+
+def _check_inputs(params, design: Design, values, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    params = np.asarray(params, dtype=float).ravel()
+    d = design.dim
+    if len(params) != d + 2:
+        raise ValueError(f"expected (nu, {d} lengthscales, sigma2), got {len(params)} values")
+    if params[0] <= 0 or np.any(params[1:-1] <= 0):
+        raise ValueError("nu and the lengthscales must be > 0")
+    sigma2 = float(params[-1])
+    if sigma2 < 0 or noise < 0 or sigma2 + noise <= 0:
+        raise ValueError("variances must be nonnegative and not both zero")
+    z = np.asarray(values, dtype=float).ravel()
+    if len(z) != design.n:
+        raise ValueError("values length must match the design")
+    return params, z
 
 
 def concentrated_log_likelihood(params, design: Design, values, m: float, noise: float) -> float:
@@ -97,26 +174,12 @@ def concentrated_log_likelihood(params, design: Design, values, m: float, noise:
     sigma2 * K_corr + noise * I with K_corr the unit-variance Matern
     correlation matrix.  Evaluated through a Cholesky factorization.
     """
-    params = np.asarray(params, dtype=float).ravel()
-    d = design.dim
-    if len(params) != d + 2:
-        raise ValueError(f"expected (nu, {d} lengthscales, sigma2), got {len(params)} values")
-    sigma2 = float(params[-1])
-    if sigma2 < 0 or noise < 0 or sigma2 + noise <= 0:
-        raise ValueError("variances must be nonnegative and not both zero")
-    z = np.asarray(values, dtype=float).ravel()
-    if len(z) != design.n:
-        raise ValueError("values length must match the design")
+    params, z = _check_inputs(params, design, values, noise)
     r = z - m
-    n = design.n
+    sigma2 = float(params[-1])
     if sigma2 == 0.0:
-        return float(-0.5 * np.dot(r, r) / noise - 0.5 * n * math.log(noise))
-    spec = _kernel_from_params(params, d)
-    C = sigma2 * gram_matrix(spec, design.points) + noise * np.eye(n)
-    c, low = cho_factor(C, lower=True)
-    alpha = cho_solve((c, low), r)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    return float(-0.5 * np.dot(r, alpha) - 0.5 * logdet)
+        return float(-0.5 * np.dot(r, r) / noise - 0.5 * design.n * math.log(noise))
+    return _log_likelihood(params, _axis_distances(design.points), r, noise)
 
 
 def default_bounds(d: int) -> list[tuple[float, float]]:
@@ -138,10 +201,13 @@ def fit_hyperparameters(
     """Multi-start maximization of the concentrated log-likelihood.
 
     ``n_random`` uniform draws in the bounds box are scored, the best
-    ``n_polish`` are refined by bounded L-BFGS-B with central-difference
-    gradients, and the overall best point wins (ties broken by draw
-    order).  Distinct polished optima are counted as a multimodality
-    diagnostic.
+    ``n_polish`` are refined by bounded L-BFGS-B, and the overall best
+    point wins (ties broken by draw order).  The polish gradient is
+    analytic in the lengthscales and sigma2; in nu it is a central
+    difference of relative step ``_FD_REL_STEP``, one-sided at the nu
+    bounds.  Distinct polished optima are counted as a multimodality
+    diagnostic.  A start whose covariance cannot be factorized scores
+    -inf; if every start does, LikelihoodFitError is raised.
     """
     z = np.asarray(values, dtype=float).ravel()
     d = design.dim
@@ -153,18 +219,41 @@ def fit_hyperparameters(
     if n_random < 1 or n_polish < 1:
         raise ValueError("n_random and n_polish must be >= 1")
     m = float(np.mean(z)) if mean is None else float(mean)
-
-    def objective(params) -> float:
-        try:
-            return -concentrated_log_likelihood(params, design, z, m, noise)
-        except (LinAlgError, ValueError, FloatingPointError):
-            return np.inf
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
+    _check_inputs(lo, design, z, noise)
+    r = z - m
+    pairs = _axis_distances(design.points)
+    n_evals = n_failed = 0
+
+    def evaluate(loglik, *args):
+        # one likelihood value (with its gradient in the polish); None when
+        # the covariance cannot be factorized
+        nonlocal n_evals, n_failed
+        n_evals += 1
+        try:
+            return loglik(*args)
+        except (LinAlgError, FloatingPointError):
+            n_failed += 1
+            return None
+
+    def score(params) -> float:
+        value = evaluate(concentrated_log_likelihood, params, design, z, m, noise)
+        return np.inf if value is None else -value
+
+    def polish_objective(params):
+        out = evaluate(_log_likelihood, params, pairs, r, noise, bounds[0])
+        if out is None:
+            return np.inf, np.zeros(len(params))
+        return -out[0], -out[1]
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     starts = rng.uniform(lo, hi, size=(n_random, len(bounds)))
-    scores = np.array([objective(p) for p in starts])
+    scores = np.array([score(p) for p in starts])
+    if not np.any(np.isfinite(scores)):
+        raise LikelihoodFitError(
+            f"the covariance could not be factorized at any of the {n_random} starts"
+        )
     top = np.argsort(scores, kind="stable")[: min(n_polish, n_random)]
 
     best_raw_idx = int(top[0])
@@ -172,17 +261,12 @@ def fit_hyperparameters(
     best_x = starts[best_raw_idx]
     polished_pts: list[np.ndarray] = []
     improved = False
+    n_iters = 0
     for idx in top:
         if not np.isfinite(scores[idx]):
             continue
-        res = minimize(
-            objective,
-            starts[idx],
-            method="L-BFGS-B",
-            bounds=bounds,
-            jac="3-point",
-            options={"finite_diff_rel_step": _FD_REL_STEP},
-        )
+        res = minimize(polish_objective, starts[idx], method="L-BFGS-B", jac=True, bounds=bounds)
+        n_iters += int(res.nit)
         if np.isfinite(res.fun):
             polished_pts.append(np.clip(res.x, lo, hi))
             if res.fun < best_val:
@@ -208,6 +292,9 @@ def fit_hyperparameters(
         loglik=float(-best_val),
         n_local_maxima=n_clusters,
         polish_improved=improved,
+        n_evals=n_evals,
+        n_failed_evals=n_failed,
+        n_polish_iters=n_iters,
     )
 
 

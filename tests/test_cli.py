@@ -275,10 +275,20 @@ class TestFitCommand:
         assert set(fit) == {
             "nu", "theta", "sigma2", "mean", "loglik",
             "n_local_maxima", "polish_improved", "noise",
+            "n_evals", "n_failed_evals", "n_polish_iters",
         }
         assert 0.5 <= fit["nu"] <= 3.0
         assert len(fit["theta"]) == 1
         assert fit["sigma2"] > 0 and fit["noise"] > 0
+
+    def test_no_finite_start_exits_1_without_output(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("x_1,z,s,sigma_eps2\n0.5,1.0,1,0\n0.5,1.2,1,0\n0.5,0.9,1,0\n")
+        cfg = {"data_csv": str(data), "noise": 0.0, "n_random": 10, "n_polish": 2}
+        rc, out = run_cli("fit", tmp_path, cfg, seed=4)
+        assert rc == 1
+        assert "could not be factorized" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
 
     def test_deterministic_given_seed(self, tmp_path, observations_csv):
         rc1, out1 = run_cli("fit", tmp_path, self._cfg(observations_csv), seed=11, name="a")
@@ -368,6 +378,23 @@ class TestAllocateCommand:
         assert rc == 0
         _, rows = read_rows(out / "plan.csv")
         assert sum(int(r[4]) for r in rows) == 50
+
+    def test_default_eta_spans_the_design_box(self, tmp_path):
+        cfg = {
+            "kernel": {"family": "matern1d", "nu": 1.5, "lengthscales": [0.1]},
+            "points": [[2.1], [2.5], [2.9]],
+            "sigma_eps2": [0.01, 0.04, 0.02],
+            "T": 30,
+        }
+        rc, out = run_cli("allocate", tmp_path, cfg, name="default")
+        assert rc == 0
+        explicit = dict(cfg, eta={"type": "trapezoid", "m": 2001, "lo": 2.1, "hi": 2.9})
+        rc, out_box = run_cli("allocate", tmp_path, explicit, name="box")
+        assert rc == 0
+        summary, want = (json.loads((o / "summary.json").read_text()) for o in (out, out_box))
+        assert summary == want
+        # the prior variance 1.0 would mean a quadrature that sees no design point
+        assert summary["imse_optimal"] < summary["imse_uniform"] < 1.0
 
     def test_budget_below_points_rejected(self, tmp_path, capsys):
         cfg = dict(ALLOCATE_CFG, T=2)

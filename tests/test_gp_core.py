@@ -157,6 +157,25 @@ class TestFitBlup:
         assert err.value.minor == 2
         assert "minor of order 2" in str(err.value)
 
+    @pytest.mark.parametrize("bad, minor", [
+        (np.ones((4, 4)) - 0.5 * np.eye(4), 2),
+        (np.diag([1.0, 2.0, -1.0, 3.0]), 3),
+    ])
+    def test_named_minor_is_the_lapack_info_code(self, bad, minor):
+        from scipy.linalg.lapack import dpotrf
+
+        from gpbudget.gp_core import _factor_with_jitter
+
+        with pytest.raises(SingularCovarianceError) as err:
+            _factor_with_jitter(bad, force_jitter=False)
+        assert err.value.minor == dpotrf(bad)[1] == minor
+
+    def test_non_finite_matrix_rejected(self):
+        from gpbudget.gp_core import _factor_with_jitter
+
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _factor_with_jitter(np.array([[1.0, np.nan], [np.nan, 1.0]]), force_jitter=False)
+
     def test_jitter_applied_only_when_noise_floor_is_zero(self):
         design = Design(np.array([[0.2], [0.8]]))
         noisy = fit_blup(M32, design, ObservationSet([1.0, 2.0], [0.1, 0.1], [1, 1]))

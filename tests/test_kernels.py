@@ -12,6 +12,8 @@ from scipy.special import kv
 
 from gpbudget.kernels import (
     KernelSpec,
+    _matern_corr,
+    _matern_corr_dtheta,
     cross_matrix,
     eval_kernel,
     gram_matrix,
@@ -240,3 +242,64 @@ class TestGramMatrix:
         spec = KernelSpec(family="fbm", hurst=0.3, variance=2.0)
         pts = np.linspace(0.1, 1, 6)
         assert np.allclose(kernel_diag(spec, pts), np.diag(gram_matrix(spec, pts)))
+
+
+def _per_pair_matern(spec, X, Y):
+    """The Matern cross matrix evaluated pair by pair, with no table."""
+    out = np.ones((len(X), len(Y)))
+    for j, l in enumerate(spec.lengthscales):
+        out *= _matern_corr(np.abs(X[:, j][:, None] - Y[:, j][None, :]) / l, spec.nu)
+    return spec.variance * out
+
+
+class TestMaternCrossTables:
+    """cross_matrix evaluates each axis on its distinct coordinates only."""
+
+    @pytest.fixture(params=[0.5, 1.31, 2.5, 2.7071])
+    def spec(self, request):
+        return KernelSpec(family="matern_tensor", nu=request.param,
+                          lengthscales=(0.36, 0.56), variance=0.205)
+
+    def test_tensor_grid(self, spec):
+        g = np.linspace(0.0, 1.0, 30)
+        gx, gy = np.meshgrid(g, g, indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+        pts = np.random.default_rng(4).uniform(size=(40, 2))
+        assert np.array_equal(cross_matrix(spec, grid, pts), _per_pair_matern(spec, grid, pts))
+
+    def test_random_points(self, spec):
+        rng = np.random.default_rng(5)
+        X, Y = rng.uniform(size=(25, 2)), rng.uniform(size=(17, 2))
+        assert np.array_equal(cross_matrix(spec, X, Y), _per_pair_matern(spec, X, Y))
+
+    def test_repeated_coordinates(self, spec):
+        rng = np.random.default_rng(6)
+        X = rng.choice([0.0, 0.25, 0.5, 1.0], size=(30, 2))
+        Y = np.vstack([X[:5], rng.choice([0.25, 0.75], size=(8, 2))])
+        assert np.array_equal(cross_matrix(spec, X, Y), _per_pair_matern(spec, X, Y))
+
+    def test_one_dimensional(self):
+        spec = KernelSpec(family="matern1d", nu=1.31, lengthscales=(0.2,))
+        x = np.array([0.1, 0.4, 0.4, 0.9, 0.1])[:, None]
+        y = np.linspace(0.0, 1.0, 7)[:, None]
+        assert np.array_equal(cross_matrix(spec, x, y), _per_pair_matern(spec, x, y))
+
+
+class TestMaternLengthscaleDerivative:
+    @pytest.mark.parametrize("nu", [0.5, 0.8, 1.0, 1.31, 2.5, 3.0])
+    def test_matches_central_difference(self, nu):
+        dx, theta = np.array([1e-3, 0.02, 0.3, 1.1, 4.0]), 0.4
+        h = 1e-6 * theta
+        fd = (_matern_corr(dx / (theta + h), nu) - _matern_corr(dx / (theta - h), nu)) / (2 * h)
+        got = _matern_corr_dtheta(dx / theta, nu, theta)
+        # the difference quotient of values near 1 carries ~eps/h = 5e-10 rounding
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=5e-9)
+
+    def test_exponential_closed_form(self):
+        # nu = 1/2: rho = exp(-r), so d rho / d theta = r exp(-r) / theta
+        r, theta = np.array([0.1, 1.0, 3.0]), 0.7
+        np.testing.assert_allclose(_matern_corr_dtheta(r, 0.5, theta),
+                                   r * np.exp(-r) / theta, rtol=1e-13)
+
+    def test_zero_at_coincident_points(self):
+        assert np.array_equal(_matern_corr_dtheta(np.array([0.0, 1e-12]), 1.31, 0.3), [0.0, 0.0])

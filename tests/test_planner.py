@@ -25,6 +25,9 @@ from gpbudget.learning_curve import rate_law
 from gpbudget.planner import (
     BudgetForecast,
     HyperparameterFit,
+    LikelihoodFitError,
+    _axis_distances,
+    _log_likelihood,
     concentrated_log_likelihood,
     default_bounds,
     estimate_noise,
@@ -116,10 +119,59 @@ class TestConcentratedLikelihood:
         with pytest.raises(ValueError, match="variances"):
             concentrated_log_likelihood(np.array([1.0, 0.3, -0.1]), design, np.zeros(3), 0.0, 0.1)
 
+    @pytest.mark.parametrize("params", [(0.0, 0.3, 0.2), (1.0, -0.3, 0.2)])
+    def test_nonpositive_nu_or_lengthscale_rejected(self, params):
+        design = _line_design(3)
+        with pytest.raises(ValueError, match="> 0"):
+            concentrated_log_likelihood(np.array(params), design, np.zeros(3), 0.0, 0.1)
+
     def test_values_length_checked(self):
         design = _line_design(3)
         with pytest.raises(ValueError, match="match"):
             concentrated_log_likelihood(np.array([1.0, 0.3, 0.2]), design, np.zeros(4), 0.0, 0.1)
+
+
+class TestLikelihoodGradient:
+    """The polish gradient against a central difference of the public value."""
+
+    NOISE, MEAN, BOUNDS = 3e-3, 0.1, (0.5, 3.0)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        design = latin_hypercube_design(40, 2, np.random.SeedSequence(7))
+        z = np.random.default_rng(5).normal(0.1, 0.5, 40)
+        return design, z
+
+    @pytest.mark.parametrize("params", [
+        (1.31, 0.3, 0.5, 0.4),   # general nu
+        (0.5, 0.2, 0.7, 0.3),    # nu at the lower bound
+        (3.0, 0.4, 0.1, 0.6),    # nu at the upper bound
+        (2.2, 0.01, 0.02, 0.5),  # lengthscales at the floor of the box
+    ])
+    def test_matches_central_difference(self, data, params):
+        design, z = data
+        p = np.array(params)
+        value, grad = _log_likelihood(
+            p, _axis_distances(design.points), z - self.MEAN, self.NOISE, self.BOUNDS
+        )
+        assert value == concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
+        fd = []
+        for k in range(len(p)):
+            step = np.zeros(len(p))
+            step[k] = 1e-5 * p[k]
+            up, down = (concentrated_log_likelihood(p + sgn * step, design, z, self.MEAN,
+                                                    self.NOISE) for sgn in (1, -1))
+            fd.append((up - down) / (2 * step[k]))
+        np.testing.assert_allclose(grad, fd, rtol=1e-5)
+
+    def test_polish_value_is_the_public_value(self, data):
+        design, z = data
+        pairs = _axis_distances(design.points)
+        rng = np.random.default_rng(12)
+        lo, hi = np.array(default_bounds(2)).T
+        for p in rng.uniform(lo, hi, size=(20, 4)):
+            polished, _ = _log_likelihood(p, pairs, z - self.MEAN, self.NOISE, self.BOUNDS)
+            assert polished == concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
 
 
 class TestFitHyperparameters:
@@ -166,6 +218,26 @@ class TestFitHyperparameters:
         design, z = self._data(n=8)
         with pytest.raises(ValueError, match="n_random"):
             fit_hyperparameters(design, z, noise=0.02, seed=1, n_random=0, n_polish=1)
+
+    def test_counters_report_the_search(self):
+        design, z = self._data()
+        fit = fit_hyperparameters(design, z, noise=0.02, seed=123, n_random=25, n_polish=3)
+        assert fit.n_evals > 25 and fit.n_failed_evals == 0
+        assert fit.n_polish_iters >= 1
+
+    def test_no_finite_start_raises(self):
+        # three copies of one point with no noise: sigma2 * ones(3, 3) is singular
+        design = Design(np.full((3, 1), 0.5), UniformBox(((0.0, 1.0),)))
+        with pytest.raises(LikelihoodFitError, match="any of the 5 starts"):
+            fit_hyperparameters(design, [1.0, 1.2, 0.9], noise=0.0, seed=1,
+                                n_random=5, n_polish=2)
+
+    def test_invalid_bounds_raise_instead_of_scoring_inf(self):
+        design, z = self._data(n=8)
+        bounds = [(0.5, 3.0), (0.05, 0.3), (-0.1, 0.6)]
+        with pytest.raises(ValueError, match="variances"):
+            fit_hyperparameters(design, z, noise=0.02, seed=1, bounds=bounds,
+                                n_random=5, n_polish=1)
 
     def test_explicit_mean_is_kept(self):
         design, z = self._data(n=10)
