@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .allocation import plan_allocation, save_plan_csv
 from .gp_core import Design, Quadrature, UniformBox, load_observations_csv, save_observations_csv
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _as_points
 from .learning_curve import asymptotic_imse, empirical_learning_curve, rate_law
 from .planner import (
     DEFAULT_N_POLISH,
@@ -49,8 +49,24 @@ SUBCOMMANDS = (
 )
 
 
+# Caps on sizes read from a config, checked before anything is allocated:
+# a spectrum's m x m Gram is 3.2 GB at MAX_NODES, a curve design's n x n
+# Gram 0.8 GB at MAX_POINTS; MAX_COUNT bounds repeat and grid counts.
+MAX_NODES = 20_000
+MAX_POINTS = 10_000
+MAX_COUNT = 1_000_000
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration (exit code 2)."""
+
+
+def _bounded(value, cap: int, name: str) -> int:
+    """A configured size as an int, refused above ``cap``."""
+    n = int(value)
+    if n > cap:
+        raise ConfigError(f"{name} = {n} is above the limit of {cap}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -104,15 +120,24 @@ def _parse_measure(obj, context: str) -> Quadrature:
     kind = obj["type"]
     try:
         if kind == "trapezoid":
-            return Quadrature.trapezoid(int(obj["m"]), float(obj.get("lo", 0.0)), float(obj.get("hi", 1.0)))
+            m = _bounded(obj["m"], MAX_NODES, "m")
+            return Quadrature.trapezoid(m, float(obj.get("lo", 0.0)), float(obj.get("hi", 1.0)))
         if kind == "tensor_trapezoid":
             bounds = obj.get("bounds") or [[0.0, 1.0]] * len(obj["m"])
+            counts = np.broadcast_to(obj["m"], len(bounds))
+            _bounded(math.prod(int(k) for k in counts), MAX_NODES, "the node count")
             return Quadrature.tensor_trapezoid(obj["m"], [tuple(b) for b in bounds])
         if kind == "explicit":
             return Quadrature(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"{context}: {e}")
     raise ConfigError(f"{context}: unknown measure type {kind!r}")
+
+
+def _bounding_box(points: np.ndarray) -> UniformBox:
+    """The points' bounding box, 1e-9 wide on an axis where they all agree."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    return UniformBox(tuple((float(l), float(max(h, l + 1e-9))) for l, h in zip(lo, hi)))
 
 
 def _default_eta(box: UniformBox) -> Quadrature:
@@ -174,7 +199,8 @@ def _inv_tau_from_cfg(cfg: dict, context: str) -> np.ndarray:
         return 1.0 / taus
     grid = cfg.get("inv_tau", {"min": 5.0, "max": 100.0, "count": 12})
     _check_keys(grid, {"min", "max", "count"}, set(), f"{context}.inv_tau")
-    return np.geomspace(float(grid["min"]), float(grid["max"]), int(grid["count"]))
+    count = _bounded(grid["count"], MAX_COUNT, f"{context}.inv_tau.count")
+    return np.geomspace(float(grid["min"]), float(grid["max"]), count)
 
 
 def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
@@ -186,22 +212,24 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
         "curve",
     )
     spec = _parse_kernel(cfg["kernel"], "curve.kernel")
-    n = int(cfg["n"])
-    n_designs = int(cfg.get("n_designs", 10))
+    n = _bounded(cfg["n"], MAX_POINTS, "curve.n")
+    n_designs = _bounded(cfg.get("n_designs", 10), MAX_COUNT, "curve.n_designs")
     inv_tau = _inv_tau_from_cfg(cfg, "curve")
     taus = 1.0 / inv_tau
     quad = _parse_measure(cfg["quadrature"], "curve.quadrature") if "quadrature" in cfg else None
-    mean, stderr = empirical_learning_curve(spec, n, taus, n_designs, seed, quadrature=quad)
     theory_cfg = cfg.get("theory", {})
+    if theory_cfg is not False:
+        _check_keys(theory_cfg, set(), {"spectrum_m", "p"}, "curve.theory")
+        m1 = int(theory_cfg.get("spectrum_m", 2000 if spec.dim == 1 else 45))
+        _bounded(m1**spec.dim, MAX_NODES, "curve.theory.spectrum_m node count")
+        if spec.dim == 1:
+            sq = Quadrature.trapezoid(m1, 0.0, 1.0)
+        else:
+            sq = Quadrature.tensor_trapezoid([m1] * spec.dim, [(0.0, 1.0)] * spec.dim)
+    mean, stderr = empirical_learning_curve(spec, n, taus, n_designs, seed, quadrature=quad)
     if theory_cfg is False:
         theory = np.full_like(mean, math.nan)
     else:
-        _check_keys(theory_cfg, set(), {"spectrum_m", "p"}, "curve.theory")
-        if spec.dim == 1:
-            sq = Quadrature.trapezoid(int(theory_cfg.get("spectrum_m", 2000)), 0.0, 1.0)
-        else:
-            m1 = int(theory_cfg.get("spectrum_m", 45))
-            sq = Quadrature.tensor_trapezoid([m1] * spec.dim, [(0.0, 1.0)] * spec.dim)
         P = int(theory_cfg.get("p", min(200, len(sq) // 10)))
         s = nystrom_spectrum(spec, sq, P)
         theory = np.array([asymptotic_imse(s, t) for t in taus])
@@ -221,7 +249,7 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
         points, obs = load_observations_csv(cfg["data_csv"])
     except (OSError, ValueError) as e:
         raise ConfigError(f"fit.data_csv: {e}")
-    design = Design(points, UniformBox(tuple((float(points[:, j].min()), float(max(points[:, j].max(), points[:, j].min() + 1e-9))) for j in range(points.shape[1]))))
+    design = Design(points, _bounding_box(points))
     noise = float(cfg["noise"]) if "noise" in cfg else float(np.mean(obs.noise_var))
     bounds = [tuple(b) for b in cfg["bounds"]] if "bounds" in cfg else None
     fit = fit_hyperparameters(
@@ -229,8 +257,8 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
         noise=noise,
         seed=seed,
         bounds=bounds,
-        n_random=int(cfg.get("n_random", DEFAULT_N_RANDOM)),
-        n_polish=int(cfg.get("n_polish", DEFAULT_N_POLISH)),
+        n_random=_bounded(cfg.get("n_random", DEFAULT_N_RANDOM), MAX_COUNT, "fit.n_random"),
+        n_polish=_bounded(cfg.get("n_polish", DEFAULT_N_POLISH), MAX_COUNT, "fit.n_polish"),
         mean=cfg.get("mean"),
     )
     with open(out / "fit.json", "w") as fh:
@@ -271,7 +299,7 @@ def _cmd_plan(cfg: dict | None, seed: int, out: Path) -> list[str]:
     forecast = required_budget(
         imse_t0, int(cfg["T0"]), float(cfg["sigma_eps2_bar"]), law, target,
         n=int(cfg["n"]) if "n" in cfg else None,
-        curve_points=int(cfg.get("curve_points", 50)),
+        curve_points=_bounded(cfg.get("curve_points", 50), MAX_COUNT, "plan.curve_points"),
     )
     with open(out / "forecast.json", "w") as fh:
         json.dump(
@@ -310,7 +338,10 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
             raise ConfigError(f"allocate.data_csv: {e}")
         noise = obs.noise_var * obs.s
     elif "points" in cfg:
-        points = np.asarray(cfg["points"], dtype=float)
+        try:
+            points = _as_points(cfg["points"], spec.dim)
+        except ValueError as e:
+            raise ConfigError(f"allocate.points: {e}")
         if "sigma_eps2" not in cfg:
             raise ConfigError("allocate: inline points require sigma_eps2")
         noise = np.asarray(cfg["sigma_eps2"], dtype=float)
@@ -323,10 +354,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
         raise ConfigError(f"allocate.T: budget {T} below the number of points {len(points)}")
     if np.any(noise <= 0):
         raise ConfigError("allocate.sigma_eps2: noise variances must be positive")
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    box = UniformBox(tuple((float(l), float(max(h, l + 1e-9))) for l, h in zip(lo, hi)))
-    design = Design(points, box)
+    design = Design(points, _bounding_box(points))
     eta = _parse_measure(cfg["eta"], "allocate.eta") if "eta" in cfg else _default_eta(design.measure)
     plan = plan_allocation(spec, design, noise, T, eta)
     save_plan_csv(out / "plan.csv", design, noise, plan)

@@ -1,8 +1,12 @@
 """Covariance kernel families and their pointwise / matrix evaluation.
 
-Stationary families (``matern1d``, ``matern_tensor``, ``gaussian``,
-``exponential``, ``triangular``) are stored as unit-variance correlations
-with a separate ``variance`` multiplier.  ``fbm`` uses the form
+Each family's formula is written once.  The stationary families
+(``matern1d``, ``matern_tensor``, ``gaussian``, ``exponential``,
+``triangular``) are unit-variance correlations times ``variance``: a term
+of each axis's scaled difference d = (x_j - y_j) / l_j (``_axis_term``)
+combined over the axes (``_stationary``).  The one-dimensional families
+are a broadcasting k(a, b) of two coordinates (``_coordinate_kernel``).
+``fbm`` uses the form
 
     k(x, y) = x^{2H} + y^{2H} - |x - y|^{2H}
 
@@ -10,12 +14,15 @@ which is *twice* the conventional fractional-Brownian covariance; with
 H = 1/2 it reduces to 2*min(x, y).  ``brownian`` is the plain min(x, y)
 kernel.  ``finite_rank`` builds degenerate kernels from an explicit list
 of (weight, basis id) terms with cosine or Legendre bases orthonormal for
-the uniform measure on [0, 1].
+the uniform measure on [0, 1].  ``cross_matrix`` feeds the stationary
+evaluator per-axis tables of distinct coordinates, ``gram_matrix`` the
+condensed upper triangle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import eval_legendre, gammaln, kv
@@ -114,23 +121,20 @@ class KernelSpec:
 
 def _matern_corr(r: np.ndarray, nu: float) -> np.ndarray:
     """Matern correlation of scaled distance r >= 0 for regularity nu."""
-    r = np.asarray(r, dtype=float)
+    u = np.sqrt(2 * nu) * np.asarray(r, dtype=float)
     half = 2 * nu
     if abs(half - round(half)) < 1e-12 and round(half) in (1, 3, 5):
-        u = np.sqrt(2 * nu) * r
         if round(half) == 1:
             return np.exp(-u)
         if round(half) == 3:
             return (1 + u) * np.exp(-u)
         return (1 + u + u * u / 3) * np.exp(-u)
-    u = np.sqrt(2 * nu) * r
     out = np.ones_like(u)
     mask = u > _MATERN_U_FLOOR
     um = u[mask]
     vals = _matern_prefactor(um, nu) * kv(nu, um)
     # inf * 0 at the small-u end means the r -> 0 limit: correlation 1
-    vals = np.where(np.isnan(vals), 1.0, vals)
-    out[mask] = vals
+    out[mask] = np.where(np.isnan(vals), 1.0, vals)
     return out
 
 
@@ -192,53 +196,72 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
+def _axis_term(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
+    """One axis's term of a stationary family at scaled difference d = (x_j - y_j) / l_j."""
+    fam = spec.family
+    if fam == "gaussian":
+        return d * d
+    if fam == "exponential":
+        return np.abs(d)
+    if fam == "triangular":
+        return np.maximum(0.0, 1.0 - np.abs(d))
+    return _matern_corr(np.abs(d), spec.nu)
+
+
+def _stationary(spec: KernelSpec, terms) -> np.ndarray:
+    """Combine the per-axis terms, each a fresh array, in place into the covariance."""
+    fam = spec.family
+    op = np.add if fam in ("gaussian", "exponential") else np.multiply
+    acc = reduce(lambda acc, t: op(acc, t, out=acc), terms)
+    if fam == "gaussian":
+        return spec.variance * np.exp(-0.5 * acc)
+    if fam == "exponential":
+        return spec.variance * np.exp(-acc)
+    return spec.variance * acc
+
+
+def _coordinate_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """k(a, b) of a one-dimensional family, broadcasting over the coordinates."""
+    fam = spec.family
+    if fam == "brownian":
+        return spec.variance * np.minimum(a, b)
+    if fam == "fbm":
+        h2 = 2 * spec.hurst
+        return spec.variance * (np.abs(a) ** h2 + np.abs(b) ** h2 - np.abs(a - b) ** h2)
+    out = 0.0
+    for w, bid in spec.rank_terms:
+        out = out + w * (_basis_values(bid, a) * _basis_values(bid, b))
+    return spec.variance * out
+
+
+def _square_from_triangle(upper: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Symmetric matrix from its condensed strict upper triangle (row-major) and diagonal."""
+    n = len(diag)
+    rows, cols = np.triu_indices(n, k=1)
+    K = np.empty((n, n))
+    K[rows, cols] = upper
+    K[cols, rows] = upper
+    K[np.diag_indices(n)] = diag
+    return K
+
+
 def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     """Covariance matrix k(x_i, y_j) for two point sets, shape (n, m)."""
     X = _as_points(x, spec.dim)
     Y = _as_points(y, spec.dim)
-    fam = spec.family
-    if fam in ("matern1d", "matern_tensor"):
-        # each axis factor depends only on the two coordinates, so the
-        # Bessel work is done once per pair of distinct values and gathered
-        out = np.ones((len(X), len(Y)))
+    if spec.family in _ONE_D_FAMILIES:
+        return _coordinate_kernel(spec, X[:, 0][:, None], Y[:, 0][None, :])
+
+    def gathered_terms():
+        # an axis term depends only on the two coordinates, so it is evaluated
+        # once per pair of distinct values (the Bessel work of Matern) and gathered
         for j, l in enumerate(spec.lengthscales):
             xu, xi = np.unique(X[:, j], return_inverse=True)
             yu, yi = np.unique(Y[:, j], return_inverse=True)
-            table = _matern_corr(np.abs(xu[:, None] - yu[None, :]) / l, spec.nu)
-            out *= table[xi[:, None], yi[None, :]]
-        return spec.variance * out
-    if fam == "gaussian":
-        sq = np.zeros((len(X), len(Y)))
-        for j, l in enumerate(spec.lengthscales):
-            d = (X[:, j][:, None] - Y[:, j][None, :]) / l
-            sq += d * d
-        return spec.variance * np.exp(-0.5 * sq)
-    if fam == "exponential":
-        r = np.zeros((len(X), len(Y)))
-        for j, l in enumerate(spec.lengthscales):
-            r += np.abs(X[:, j][:, None] - Y[:, j][None, :]) / l
-        return spec.variance * np.exp(-r)
-    if fam == "triangular":
-        out = np.ones((len(X), len(Y)))
-        for j, l in enumerate(spec.lengthscales):
-            r = np.abs(X[:, j][:, None] - Y[:, j][None, :]) / l
-            out *= np.maximum(0.0, 1.0 - r)
-        return spec.variance * out
-    if fam == "brownian":
-        return spec.variance * np.minimum(X[:, 0][:, None], Y[:, 0][None, :])
-    if fam == "fbm":
-        h2 = 2 * spec.hurst
-        a = np.abs(X[:, 0])[:, None] ** h2
-        b = np.abs(Y[:, 0])[None, :] ** h2
-        d = np.abs(X[:, 0][:, None] - Y[:, 0][None, :]) ** h2
-        return spec.variance * (a + b - d)
-    # finite_rank
-    out = np.zeros((len(X), len(Y)))
-    for w, bid in spec.rank_terms:
-        fx = _basis_values(bid, X[:, 0])
-        fy = _basis_values(bid, Y[:, 0])
-        out += w * np.outer(fx, fy)
-    return spec.variance * out
+            table = _axis_term(spec, (xu[:, None] - yu[None, :]) / l)
+            yield table[xi[:, None], yi[None, :]]
+
+    return _stationary(spec, gathered_terms())
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -249,57 +272,9 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_diag(spec: KernelSpec, x) -> np.ndarray:
     """Vector of k(x_i, x_i) values."""
     X = _as_points(x, spec.dim)
-    fam = spec.family
-    if fam in ("matern1d", "matern_tensor", "gaussian", "exponential", "triangular"):
-        return np.full(len(X), spec.variance)
-    if fam == "brownian":
-        return spec.variance * X[:, 0].copy()
-    if fam == "fbm":
-        h2 = 2 * spec.hurst
-        return spec.variance * 2 * np.abs(X[:, 0]) ** h2
-    vals = np.zeros(len(X))
-    for w, bid in spec.rank_terms:
-        vals += w * _basis_values(bid, X[:, 0]) ** 2
-    return spec.variance * vals
-
-
-def _pairwise_values(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Elementwise k(A_i, B_i) for two equally long point lists."""
-    fam = spec.family
-    if fam in ("matern1d", "matern_tensor"):
-        out = np.ones(len(A))
-        for j, l in enumerate(spec.lengthscales):
-            out *= _matern_corr(np.abs(A[:, j] - B[:, j]) / l, spec.nu)
-        return spec.variance * out
-    if fam == "gaussian":
-        sq = np.zeros(len(A))
-        for j, l in enumerate(spec.lengthscales):
-            d = (A[:, j] - B[:, j]) / l
-            sq += d * d
-        return spec.variance * np.exp(-0.5 * sq)
-    if fam == "exponential":
-        r = np.zeros(len(A))
-        for j, l in enumerate(spec.lengthscales):
-            r += np.abs(A[:, j] - B[:, j]) / l
-        return spec.variance * np.exp(-r)
-    if fam == "triangular":
-        out = np.ones(len(A))
-        for j, l in enumerate(spec.lengthscales):
-            r = np.abs(A[:, j] - B[:, j]) / l
-            out *= np.maximum(0.0, 1.0 - r)
-        return spec.variance * out
-    if fam == "brownian":
-        return spec.variance * np.minimum(A[:, 0], B[:, 0])
-    if fam == "fbm":
-        h2 = 2 * spec.hurst
-        a = np.abs(A[:, 0]) ** h2
-        b = np.abs(B[:, 0]) ** h2
-        d = np.abs(A[:, 0] - B[:, 0]) ** h2
-        return spec.variance * (a + b - d)
-    out = np.zeros(len(A))
-    for w, bid in spec.rank_terms:
-        out += w * _basis_values(bid, A[:, 0]) * _basis_values(bid, B[:, 0])
-    return spec.variance * out
+    if spec.family in _ONE_D_FAMILIES:
+        return _coordinate_kernel(spec, X[:, 0], X[:, 0])
+    return np.full(len(X), spec.variance)
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
@@ -311,11 +286,12 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     X = _as_points(points, spec.dim)
     if len(X) == 0:
         raise ValueError("gram_matrix requires at least one point")
-    n = len(X)
-    K = np.empty((n, n))
-    rows, cols = np.triu_indices(n, k=1)
-    vals = _pairwise_values(spec, X[rows], X[cols])
-    K[rows, cols] = vals
-    K[cols, rows] = vals
-    K[np.diag_indices(n)] = kernel_diag(spec, X)
-    return K
+    rows, cols = np.triu_indices(len(X), k=1)
+    if spec.family in _ONE_D_FAMILIES:
+        upper = _coordinate_kernel(spec, X[rows, 0], X[cols, 0])
+    else:
+        upper = _stationary(spec, (
+            _axis_term(spec, (X[rows, j] - X[cols, j]) / l)
+            for j, l in enumerate(spec.lengthscales)
+        ))
+    return _square_from_triangle(upper, kernel_diag(spec, X))

@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .gp_core import Design, ObservationSet
-from .kernels import _matern_corr, _matern_corr_dtheta
+from .kernels import _matern_corr, _matern_corr_dtheta, _square_from_triangle
 from .learning_curve import RateLaw
 
 DEFAULT_N_RANDOM = 10000
@@ -99,8 +100,8 @@ def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, nu_bounds=No
     """Concentrated log-likelihood at params = (nu, theta_1..theta_d, sigma2).
 
     ``pairs`` is ``_axis_distances`` of the design.  The correlation matrix
-    is assembled exactly as ``gram_matrix`` assembles it, so the value is
-    bitwise the one a freshly built Matern kernel gives.  With ``nu_bounds``
+    is assembled by ``gram_matrix``'s own helper, so the value is bitwise
+    the one a freshly built Matern kernel gives.  With ``nu_bounds``
     the result is (value, gradient).  The lengthscale and sigma2 entries are
     dL/dp = 1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams
     2006, eq. 5.9); the nu entry is a central difference of relative step
@@ -112,14 +113,8 @@ def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, nu_bounds=No
     n = len(resid)
     scaled = [dj / float(t) for dj, t in zip(dists, theta)]
     factors = [_matern_corr(rj, nu) for rj in scaled]
-    corr = np.ones(len(rows))
-    for f in factors:
-        corr *= f
-    K = np.empty((n, n))
-    K[rows, cols] = corr
-    K[cols, rows] = corr
-    K[np.diag_indices(n)] = 1.0
-    C = sigma2 * K + noise * np.eye(n)
+    corr = reduce(np.multiply, factors)
+    C = sigma2 * _square_from_triangle(corr, np.ones(n)) + noise * np.eye(n)
     c, low = cho_factor(C, lower=True)
     alpha = cho_solve((c, low), resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))

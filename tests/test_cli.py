@@ -414,6 +414,21 @@ class TestAllocateCommand:
         assert rc == 2
         assert "points or data_csv" in capsys.readouterr().err
 
+    def test_flat_points_match_column(self, tmp_path):
+        cfg = dict(ALLOCATE_CFG, kernel={"family": "matern1d", "nu": 1.5, "lengthscales": [0.3]})
+        rc, flat = run_cli("allocate", tmp_path, dict(cfg, points=[0.1, 0.5, 0.9]), name="flat")
+        assert rc == 0
+        rc, column = run_cli("allocate", tmp_path, cfg, name="column")
+        assert rc == 0
+        assert (flat / "plan.csv").read_bytes() == (column / "plan.csv").read_bytes()
+
+    def test_flat_points_for_2d_kernel_exit_2(self, tmp_path, capsys):
+        cfg = dict(ALLOCATE_CFG, points=[0.1, 0.5, 0.9],
+                   kernel={"family": "gaussian", "lengthscales": [0.3, 0.3]})
+        rc, _ = run_cli("allocate", tmp_path, cfg)
+        assert rc == 2
+        assert "allocate.points" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", ["fit", "allocate"])
 def test_fractional_replicate_count_exits_2(command, tmp_path, capsys):
@@ -425,6 +440,51 @@ def test_fractional_replicate_count_exits_2(command, tmp_path, capsys):
     rc, _ = run_cli(command, tmp_path, cfg)
     assert rc == 2
     assert "whole numbers" in capsys.readouterr().err
+
+
+CURVE_CFG = {
+    "kernel": {"family": "brownian"},
+    "n": 20,
+    "n_designs": 2,
+    "inv_tau": {"min": 5.0, "max": 20.0, "count": 3},
+    "quadrature": {"type": "trapezoid", "m": 100},
+}
+BIG = 10**12
+
+
+@pytest.mark.parametrize("command,cfg,name", [
+    pytest.param("spectrum", dict(SPECTRUM_CFG, measure={"type": "trapezoid", "m": BIG}),
+                 "spectrum.measure: m", id="spectrum-m"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "trapezoid", "m": BIG}),
+                 "allocate.eta: m", id="allocate-eta-m"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [10**6, 10**6]}),
+                 "allocate.eta: the node count", id="allocate-eta-tensor"),
+    pytest.param("curve", dict(CURVE_CFG, n=BIG), "curve.n", id="curve-n"),
+    pytest.param("curve", dict(CURVE_CFG, n_designs=BIG), "curve.n_designs", id="curve-n_designs"),
+    pytest.param("curve", dict(CURVE_CFG, inv_tau={"min": 5.0, "max": 20.0, "count": BIG}),
+                 "curve.inv_tau.count", id="curve-inv_tau-count"),
+    pytest.param("curve", dict(CURVE_CFG, quadrature={"type": "trapezoid", "m": BIG}),
+                 "curve.quadrature: m", id="curve-quadrature-m"),
+    pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": BIG}),
+                 "curve.theory.spectrum_m", id="curve-spectrum_m"),
+    pytest.param("curve", dict(CURVE_CFG, kernel={"family": "gaussian", "lengthscales": [0.3, 0.3]},
+                               theory={"spectrum_m": 200}),
+                 "curve.theory.spectrum_m", id="curve-spectrum_m-2d"),
+    pytest.param("fit", {"n_random": BIG}, "fit.n_random", id="fit-n_random"),
+    pytest.param("fit", {"n_polish": BIG}, "fit.n_polish", id="fit-n_polish"),
+    pytest.param("plan", dict(PLAN_CFG, curve_points=BIG), "plan.curve_points", id="plan-curve_points"),
+])
+def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
+    # every size is refused before anything of that size is allocated
+    if command == "fit":
+        data = tmp_path / "obs.csv"
+        data.write_text("x_1,z,s,sigma_eps2\n0.2,1.0,2,0.01\n0.5,1.5,2,0.01\n0.8,0.7,3,0.01\n")
+        cfg = dict(cfg, data_csv=str(data))
+    rc, out = run_cli(command, tmp_path, cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err and "above the limit" in err
+    assert not (out / "run_manifest.json").exists()
 
 
 class TestManifest:

@@ -208,6 +208,24 @@ class TestKernelProperties:
             assert np.all(np.isfinite(d)) and d.max() < 1e4
 
 
+EVERY_FAMILY = [
+    KernelSpec(family="matern1d", nu=0.5, lengthscales=(0.2,), variance=1.3),
+    KernelSpec(family="matern_tensor", nu=1.31, lengthscales=(0.67, 0.45), variance=0.24),
+    KernelSpec(family="gaussian", lengthscales=(0.3, 0.7), variance=0.9),
+    KernelSpec(family="exponential", lengthscales=(0.3, 0.7), variance=1.1),
+    KernelSpec(family="triangular", lengthscales=(0.4, 0.6), variance=0.8),
+    KernelSpec(family="brownian", variance=1.7),
+    KernelSpec(family="fbm", hurst=0.3, variance=2.0),
+    KernelSpec(family="finite_rank", rank_terms=((0.3, "cos:1"), (0.7, "leg:3")), variance=1.3),
+]
+
+
+def _repeated_design(dim):
+    """Points with repeated coordinates on every axis, and a repeated point."""
+    X = np.random.default_rng(8).choice([0.0, 0.25, 0.5, 0.9, 1.0], size=(24, dim))
+    return np.vstack([X, X[:1], np.random.default_rng(9).uniform(size=(6, dim))])
+
+
 class TestGramMatrix:
     def test_symmetric_psd_collinear(self):
         spec = KernelSpec(family="exponential")
@@ -238,25 +256,48 @@ class TestGramMatrix:
         Y = np.random.default_rng(1).uniform(size=(7, 2))
         assert cross_matrix(spec, X, Y).shape == (4, 7)
 
-    def test_diag_matches_gram(self):
-        spec = KernelSpec(family="fbm", hurst=0.3, variance=2.0)
-        pts = np.linspace(0.1, 1, 6)
-        assert np.allclose(kernel_diag(spec, pts), np.diag(gram_matrix(spec, pts)))
+    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
+    def test_diag_matches_gram(self, spec):
+        X = _repeated_design(spec.dim)
+        assert np.array_equal(kernel_diag(spec, X), np.diag(cross_matrix(spec, X, X)))
+        assert np.array_equal(kernel_diag(spec, X), np.diag(gram_matrix(spec, X)))
+
+    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
+    def test_gram_matches_cross(self, spec):
+        # the condensed-triangle and distinct-coordinate-table paths agree bitwise
+        X = _repeated_design(spec.dim)
+        assert np.array_equal(gram_matrix(spec, X), cross_matrix(spec, X, X))
 
 
-def _per_pair_matern(spec, X, Y):
-    """The Matern cross matrix evaluated pair by pair, with no table."""
+def _per_pair_stationary(spec, X, Y):
+    """A stationary cross matrix evaluated pair by pair, with no table."""
+    diff = [X[:, j][:, None] - Y[:, j][None, :] for j in range(spec.dim)]
+    if spec.family == "gaussian":
+        sq = np.zeros((len(X), len(Y)))
+        for dj, l in zip(diff, spec.lengthscales):
+            sq += (dj / l) * (dj / l)
+        return spec.variance * np.exp(-0.5 * sq)
+    if spec.family == "exponential":
+        r = np.zeros((len(X), len(Y)))
+        for dj, l in zip(diff, spec.lengthscales):
+            r += np.abs(dj) / l
+        return spec.variance * np.exp(-r)
     out = np.ones((len(X), len(Y)))
-    for j, l in enumerate(spec.lengthscales):
-        out *= _matern_corr(np.abs(X[:, j][:, None] - Y[:, j][None, :]) / l, spec.nu)
+    for dj, l in zip(diff, spec.lengthscales):
+        if spec.family == "triangular":
+            out *= np.maximum(0.0, 1.0 - np.abs(dj) / l)
+        else:
+            out *= _matern_corr(np.abs(dj) / l, spec.nu)
     return spec.variance * out
 
 
 class TestMaternCrossTables:
-    """cross_matrix evaluates each axis on its distinct coordinates only."""
+    """cross_matrix evaluates each stationary axis on its distinct coordinates only."""
 
-    @pytest.fixture(params=[0.5, 1.31, 2.5, 2.7071])
+    @pytest.fixture(params=[0.5, 1.31, 2.5, 2.7071, "gaussian", "exponential", "triangular"])
     def spec(self, request):
+        if isinstance(request.param, str):
+            return KernelSpec(family=request.param, lengthscales=(0.36, 0.56), variance=0.205)
         return KernelSpec(family="matern_tensor", nu=request.param,
                           lengthscales=(0.36, 0.56), variance=0.205)
 
@@ -265,24 +306,24 @@ class TestMaternCrossTables:
         gx, gy = np.meshgrid(g, g, indexing="ij")
         grid = np.column_stack([gx.ravel(), gy.ravel()])
         pts = np.random.default_rng(4).uniform(size=(40, 2))
-        assert np.array_equal(cross_matrix(spec, grid, pts), _per_pair_matern(spec, grid, pts))
+        assert np.array_equal(cross_matrix(spec, grid, pts), _per_pair_stationary(spec, grid, pts))
 
     def test_random_points(self, spec):
         rng = np.random.default_rng(5)
         X, Y = rng.uniform(size=(25, 2)), rng.uniform(size=(17, 2))
-        assert np.array_equal(cross_matrix(spec, X, Y), _per_pair_matern(spec, X, Y))
+        assert np.array_equal(cross_matrix(spec, X, Y), _per_pair_stationary(spec, X, Y))
 
     def test_repeated_coordinates(self, spec):
         rng = np.random.default_rng(6)
         X = rng.choice([0.0, 0.25, 0.5, 1.0], size=(30, 2))
         Y = np.vstack([X[:5], rng.choice([0.25, 0.75], size=(8, 2))])
-        assert np.array_equal(cross_matrix(spec, X, Y), _per_pair_matern(spec, X, Y))
+        assert np.array_equal(cross_matrix(spec, X, Y), _per_pair_stationary(spec, X, Y))
 
     def test_one_dimensional(self):
         spec = KernelSpec(family="matern1d", nu=1.31, lengthscales=(0.2,))
         x = np.array([0.1, 0.4, 0.4, 0.9, 0.1])[:, None]
         y = np.linspace(0.0, 1.0, 7)[:, None]
-        assert np.array_equal(cross_matrix(spec, x, y), _per_pair_matern(spec, x, y))
+        assert np.array_equal(cross_matrix(spec, x, y), _per_pair_stationary(spec, x, y))
 
 
 class TestMaternLengthscaleDerivative:
