@@ -5,7 +5,6 @@ simulation-budget planning."""
 from .kernels import (
     KernelSpec,
     cross_matrix,
-    eval_kernel,
     gram_matrix,
     kernel_diag,
 )
@@ -74,7 +73,7 @@ from .sim_harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KernelSpec", "cross_matrix", "eval_kernel", "gram_matrix", "kernel_diag",
+    "KernelSpec", "cross_matrix", "gram_matrix", "kernel_diag",
     "Design", "ImseOperator", "ObservationSet", "Predictor", "Quadrature",
     "SingularCovarianceError", "UniformBox", "empirical_mse", "fit_blup",
     "integrated_mse", "load_observations_csv", "max_squared_error",

@@ -33,7 +33,11 @@ from .planner import (
     required_budget,
 )
 from .sim_harness import (
+    CASE_STUDY_DEFAULTS,
+    FIGURE1_DEFAULTS,
+    FIGURE2_DEFAULTS,
     SyntheticSimulator,
+    _merge_config,
     _write_curve_csv,
     latin_hypercube_design,
     run_case_study,
@@ -51,7 +55,8 @@ SUBCOMMANDS = (
 
 # Caps on sizes read from a config, checked before anything is allocated:
 # a spectrum's m x m Gram is 3.2 GB at MAX_NODES, a curve design's n x n
-# Gram 0.8 GB at MAX_POINTS; MAX_COUNT bounds repeat and grid counts.
+# Gram 0.8 GB at MAX_POINTS; MAX_COUNT bounds repeat and grid counts, and
+# the replicates drawn at once (each count and their total over the points).
 MAX_NODES = 20_000
 MAX_POINTS = 10_000
 MAX_COUNT = 1_000_000
@@ -63,10 +68,24 @@ class ConfigError(ValueError):
 
 def _bounded(value, cap: int, name: str) -> int:
     """A configured size as an int, refused above ``cap``."""
-    n = int(value)
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected a whole number, got {value!r}")
     if n > cap:
         raise ConfigError(f"{name} = {n} is above the limit of {cap}")
     return n
+
+
+def _bounded_replicates(s, n_points: int, name: str) -> None:
+    """Refuse replicate counts (one for all points, or one per point) above
+    MAX_COUNT, each or summed over the points."""
+    try:
+        s = np.asarray(s, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected whole numbers, got {s!r}")
+    _bounded(s.max(initial=0), MAX_COUNT, name)
+    _bounded(s.sum() if s.ndim else s * n_points, MAX_COUNT, f"{name} summed over the points")
 
 
 @dataclass(frozen=True)
@@ -274,6 +293,7 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
                 "n_evals": fit.n_evals,
                 "n_failed_evals": fit.n_failed_evals,
                 "n_polish_iters": fit.n_polish_iters,
+                "at_bound": list(fit.at_bound),
                 "noise": noise,
             },
             fh, indent=2,
@@ -393,18 +413,27 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     dcfg = cfg["design"]
     _check_keys(dcfg, {"type"}, {"n", "points"}, "simulate.design")
     if dcfg["type"] == "lhs":
-        design = latin_hypercube_design(int(dcfg["n"]), sim.dim, seed)
+        n = _bounded(dcfg["n"], MAX_POINTS, "simulate.design.n")
+        design = latin_hypercube_design(n, sim.dim, seed)
     elif dcfg["type"] == "points":
-        design = Design(np.asarray(dcfg["points"], dtype=float),
-                        UniformBox(tuple((0.0, 1.0) for _ in range(sim.dim))))
+        points = np.asarray(dcfg["points"], dtype=float)
+        _bounded(len(points), MAX_POINTS, "simulate.design.points count")
+        design = Design(points, UniformBox(tuple((0.0, 1.0) for _ in range(sim.dim))))
     else:
         raise ConfigError(f"simulate.design.type: unknown type {dcfg['type']!r}")
+    _bounded_replicates(cfg["s"], design.n, "simulate.s")
     obs = sample_observations(sim, design, cfg["s"], np.random.SeedSequence([seed, 1]))
     save_observations_csv(out / "observations.csv", design.points, obs)
     return ["observations.csv"]
 
 
 def _cmd_figure1(cfg, seed, out):
+    c = _merge_config(FIGURE1_DEFAULTS, cfg, "figure1")
+    _bounded(c["n"], MAX_POINTS, "figure1.n")
+    for key in ("n_designs", "inv_tau_count"):
+        _bounded(c[key], MAX_COUNT, f"figure1.{key}")
+    for key in ("quad_m", "spectrum_m"):
+        _bounded(c[key], MAX_NODES, f"figure1.{key}")
     report = run_figure1(out, seed, cfg)
     with open(out / "figure1_report.json", "w") as fh:
         json.dump(report, fh, indent=2)
@@ -412,6 +441,15 @@ def _cmd_figure1(cfg, seed, out):
 
 
 def _cmd_figure2(cfg, seed, out):
+    c = _merge_config(FIGURE2_DEFAULTS, cfg, "figure2")
+    _bounded(c["n"], MAX_POINTS, "figure2.n")
+    _bounded(c["n_designs"], MAX_COUNT, "figure2.n_designs")
+    for part in ("matern", "gaussian"):
+        _bounded(c[part]["inv_tau_count"], MAX_COUNT, f"figure2.{part}.inv_tau_count")
+    # the Matern quadrature is a tensor grid of quad_m^2 nodes
+    m = _bounded(c["matern"]["quad_m"], MAX_NODES, "figure2.matern.quad_m")
+    _bounded(m * m, MAX_NODES, "figure2.matern.quad_m node count")
+    _bounded(c["gaussian"]["quad_m"], MAX_NODES, "figure2.gaussian.quad_m")
     report = run_figure2(out, seed, cfg)
     with open(out / "figure2_report.json", "w") as fh:
         json.dump(report, fh, indent=2)
@@ -419,6 +457,18 @@ def _cmd_figure2(cfg, seed, out):
 
 
 def _cmd_casestudy(cfg, seed, out):
+    c = _merge_config(CASE_STUDY_DEFAULTS, cfg, "casestudy")
+    n = _bounded(c["n"], MAX_POINTS, "casestudy.n")
+    # the test grid and eta are test_grid^2 points and eta_m^2 nodes in 2-D
+    g = _bounded(c["test_grid"], MAX_POINTS, "casestudy.test_grid")
+    _bounded(g * g, MAX_POINTS, "casestudy.test_grid point count")
+    m = _bounded(c["eta_m"], MAX_NODES, "casestudy.eta_m")
+    _bounded(m * m, MAX_NODES, "casestudy.eta_m node count")
+    for key in ("n_random", "n_polish"):
+        _bounded(c[key], MAX_COUNT, f"casestudy.{key}")
+    _bounded_replicates(c["s0"], n, "casestudy.s0")
+    _bounded_replicates(c["s_scan_max"], n, "casestudy.s_scan_max")
+    _bounded_replicates(c["test_s"], g * g, "casestudy.test_s")
     report = run_case_study(out, seed, cfg)
     return report["files"]
 

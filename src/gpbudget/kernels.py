@@ -17,12 +17,24 @@ of (weight, basis id) terms with cosine or Legendre bases orthonormal for
 the uniform measure on [0, 1].  ``cross_matrix`` feeds the stationary
 evaluator per-axis tables of distinct coordinates, ``gram_matrix`` the
 condensed upper triangle.
+
+Matern at nu = 1/2, 3/2, 5/2 has closed forms.  Any other nu needs the
+Bessel factor 2^{1-nu}/Gamma(nu) u^nu K_mu(u) (mu = nu for the
+correlation, mu = nu - 1 for its lengthscale derivative), which is read
+from a piecewise Chebyshev interpolant in s = log u (Trefethen,
+*Approximation Theory and Approximation Practice*, ch. 3 and 8): one
+table per (nu, mu), built from a few hundred ``kv`` values at its
+nodes, kept in a small cache and evaluated entry by entry with
+Clenshaw's recurrence.  Entries above the table's top, and every entry
+of a (nu, mu) whose table fails its own accuracy check, use ``kv``
+directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import eval_legendre, gammaln, kv
@@ -42,6 +54,19 @@ _ONE_D_FAMILIES = ("fbm", "brownian", "finite_rank")
 
 # below this scaled distance the Matern correlation is 1 to double precision
 _MATERN_U_FLOOR = 1e-10
+
+# The Bessel table spans log u from the floor to _BESSEL_TABLE_TOP, where
+# the correlation is about 1e-301 (kv itself underflows to 0 from about
+# u = 697.9).  24 panels (1.23 wide in log u) of degree 18 keep the last
+# Chebyshev coefficients near 1e-14 for nu up to about 26: 433 kv values
+# per table.  Above that nu, kv overflows at the small-u nodes and the
+# check fails.
+_BESSEL_TABLE_TOP = 690.0
+_CHEB_PANELS = 24
+_CHEB_DEGREE = 18
+_CHEB_TAIL_TOL = 1e-13
+_CHEB_S_LO = math.log(_MATERN_U_FLOOR)
+_CHEB_WIDTH = (math.log(_BESSEL_TABLE_TOP) - _CHEB_S_LO) / _CHEB_PANELS
 
 
 @dataclass(frozen=True)
@@ -131,16 +156,107 @@ def _matern_corr(r: np.ndarray, nu: float) -> np.ndarray:
         return (1 + u + u * u / 3) * np.exp(-u)
     out = np.ones_like(u)
     mask = u > _MATERN_U_FLOOR
-    um = u[mask]
-    vals = _matern_prefactor(um, nu) * kv(nu, um)
+    vals = _bessel_factor(u[mask], nu, nu)
     # inf * 0 at the small-u end means the r -> 0 limit: correlation 1
     out[mask] = np.where(np.isnan(vals), 1.0, vals)
     return out
 
 
+def _log_prefactor(s: np.ndarray, nu: float) -> np.ndarray:
+    """log(2^{1-nu}/Gamma(nu) * u^nu) at s = log u."""
+    return (1 - nu) * np.log(2.0) - gammaln(nu) + nu * s
+
+
 def _matern_prefactor(um: np.ndarray, nu: float) -> np.ndarray:
     """2^{1-nu}/Gamma(nu) * u^nu, in log space so it stays finite for large nu."""
-    return np.exp((1 - nu) * np.log(2.0) - gammaln(nu) + nu * np.log(um))
+    return np.exp(_log_prefactor(np.log(um), nu))
+
+
+@lru_cache(maxsize=8)
+def _bessel_table(nu: float, mu: float) -> np.ndarray | None:
+    """Interpolant of g(s) = u + log(2^{1-nu}/Gamma(nu) u^nu K_mu(u)), s = log u.
+
+    Returns its Chebyshev coefficients, shape (degree + 1, panels).
+    Fitting the logarithm makes the interpolation error a relative error
+    of the factor everywhere, and keeps every node value finite where
+    e^u u^nu K_mu(u) would overflow.  Each panel interpolates at the
+    Chebyshev points of the second kind, so neighbouring panels share an
+    end point and the interpolant is continuous.  The node values come
+    from the module-level ``kv``.  None when the last two coefficients of
+    some panel exceed _CHEB_TAIL_TOL, or are not finite.
+    """
+    deg = _CHEB_DEGREE
+    j = np.arange(deg + 1)
+    # ascending points x_j = -cos(pi j / deg) of [-1, 1], mapped to [0, 1]
+    x01 = (1 - np.cos(np.pi * j[:-1] / deg)) / 2
+    s = (_CHEB_S_LO + _CHEB_WIDTH * (np.arange(_CHEB_PANELS)[:, None] + x01)).ravel()
+    s = np.append(s, _CHEB_S_LO + _CHEB_WIDTH * _CHEB_PANELS)
+    u = np.exp(s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = _log_prefactor(s, nu) + np.log(kv(mu, u)) + u
+    values = g[deg * np.arange(_CHEB_PANELS)[:, None] + j]
+    # c_k = (2/deg) sum'' g_j T_k(x_j), with T_k(x_j) = (-1)^k cos(pi k j / deg)
+    transform = (2.0 / deg) * (-1.0) ** j[:, None] * np.cos(np.pi * np.outer(j, j) / deg)
+    transform[:, [0, deg]] *= 0.5
+    transform[[0, deg]] *= 0.5
+    with np.errstate(invalid="ignore"):
+        coef = transform @ values.T
+        if not np.max(np.abs(coef[-2:])) <= _CHEB_TAIL_TOL:
+            return None
+    coef.flags.writeable = False
+    return coef
+
+
+def _cheb_exp(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp(g(log u) - u) at each u in the table's range, by Clenshaw's recurrence.
+
+    Only elementwise operations, so an entry's value does not depend on
+    the other entries of u; each step gathers one coefficient per entry,
+    so no array larger than u is made.
+    """
+    t = (np.log(u) - _CHEB_S_LO) / _CHEB_WIDTH
+    idx = t.astype(np.intp)
+    np.minimum(idx, _CHEB_PANELS - 1, out=idx)
+    # 2x, with x in [-1, 1] the position inside panel idx
+    x2 = t - idx
+    x2 *= 4.0
+    x2 -= 2.0
+    b1 = coef[-1].take(idx)
+    b2 = np.zeros_like(b1)
+    step = np.empty_like(b1)
+    c = np.empty_like(b1)
+    for row in coef[-2:0:-1]:
+        # b_k = c_k + 2x b_{k+1} - b_{k+2}
+        np.multiply(x2, b1, out=step)
+        step -= b2
+        step += row.take(idx, out=c)
+        b2, b1, step = b1, step, b2
+    # g = c_0 + x b_1 - b_2, then exp(g - u)
+    x2 *= 0.5
+    x2 *= b1
+    x2 -= b2
+    x2 += coef[0].take(idx, out=c)
+    x2 -= u
+    return np.exp(x2, out=x2)
+
+
+def _bessel_factor(um: np.ndarray, nu: float, mu: float) -> np.ndarray:
+    """2^{1-nu}/Gamma(nu) * um^nu * K_mu(um) for a 1-D array um > _MATERN_U_FLOOR.
+
+    From the (nu, mu) table up to _BESSEL_TABLE_TOP; above it, or for every
+    entry when the table failed its check, the direct ``kv`` formula, which
+    is nan where it meets inf * 0.
+    """
+    coef = _bessel_table(float(nu), float(mu))
+    if coef is None:
+        return _matern_prefactor(um, nu) * kv(mu, um)
+    far = um > _BESSEL_TABLE_TOP
+    if not far.any():
+        return _cheb_exp(coef, um)
+    out = np.empty_like(um)
+    out[~far] = _cheb_exp(coef, um[~far])
+    out[far] = _matern_prefactor(um[far], nu) * kv(mu, um[far])
+    return out
 
 
 def _matern_corr_dtheta(r: np.ndarray, nu: float, theta: float) -> np.ndarray:
@@ -155,7 +271,7 @@ def _matern_corr_dtheta(r: np.ndarray, nu: float, theta: float) -> np.ndarray:
     out = np.zeros_like(u)
     mask = u > _MATERN_U_FLOOR
     um = u[mask]
-    vals = _matern_prefactor(um, nu) * um * kv(nu - 1, um) / theta
+    vals = _bessel_factor(um, nu, nu - 1) * um / theta
     # 0 * inf at the small-u end is the r -> 0 limit: slope 0
     out[mask] = np.where(np.isnan(vals), 0.0, vals)
     return out
@@ -262,11 +378,6 @@ def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
             yield table[xi[:, None], yi[None, :]]
 
     return _stationary(spec, gathered_terms())
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Covariance between two points."""
-    return float(cross_matrix(spec, x, y)[0, 0])
 
 
 def kernel_diag(spec: KernelSpec, x) -> np.ndarray:

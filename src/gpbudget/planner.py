@@ -35,11 +35,18 @@ from .learning_curve import RateLaw
 DEFAULT_N_RANDOM = 10000
 DEFAULT_N_POLISH = 150
 _FD_REL_STEP = 1e-6
+# a fitted parameter this close to a bound, relative to the bound, is reported as on it
+_AT_BOUND_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class HyperparameterFit:
-    """Best concentrated-likelihood parameters and search diagnostics."""
+    """Best concentrated-likelihood parameters and search diagnostics.
+
+    ``at_bound`` names the parameters (``nu``, ``theta_1``..``theta_d``,
+    ``sigma2``) that ended on an edge of the search box, where the
+    likelihood may still rise outside it.
+    """
 
     nu: float
     theta: tuple[float, ...]
@@ -51,6 +58,7 @@ class HyperparameterFit:
     n_evals: int
     n_failed_evals: int
     n_polish_iters: int
+    at_bound: tuple[str, ...]
 
 
 class LikelihoodFitError(RuntimeError):
@@ -101,7 +109,11 @@ def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, nu_bounds=No
 
     ``pairs`` is ``_axis_distances`` of the design.  The correlation matrix
     is assembled by ``gram_matrix``'s own helper, so the value is bitwise
-    the one a freshly built Matern kernel gives.  With ``nu_bounds``
+    the one a freshly built Matern kernel gives.  Both axes read the Bessel
+    factor from one cached table for nu (``kernels._bessel_table``); the
+    gradient adds one for nu - 1 and the nu difference one for each shifted
+    nu, so a general-nu evaluation costs a few hundred ``kv`` calls, not one
+    per entry.  With ``nu_bounds``
     the result is (value, gradient).  The lengthscale and sigma2 entries are
     dL/dp = 1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams
     2006, eq. 5.9); the nu entry is a central difference of relative step
@@ -279,6 +291,11 @@ def fit_hyperparameters(
         n_clusters = len(rounded)
     else:
         n_clusters = 0
+    names = ["nu", *(f"theta_{j + 1}" for j in range(d)), "sigma2"]
+    at_bound = tuple(
+        name for name, x, edges in zip(names, best_x, bounds)
+        if any(abs(x - b) <= _AT_BOUND_REL * abs(b) for b in edges)
+    )
     return HyperparameterFit(
         nu=float(best_x[0]),
         theta=tuple(float(t) for t in best_x[1 : 1 + d]),
@@ -290,6 +307,7 @@ def fit_hyperparameters(
         n_evals=n_evals,
         n_failed_evals=n_failed,
         n_polish_iters=n_iters,
+        at_bound=at_bound,
     )
 
 

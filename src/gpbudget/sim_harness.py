@@ -451,6 +451,7 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
             "n_evals": fit.n_evals,
             "n_failed_evals": fit.n_failed_evals,
             "n_polish_iters": fit.n_polish_iters,
+            "at_bound": list(fit.at_bound),
         },
         "nu_floored_for_rate": bool(nu_for_rate != fit.nu),
         "imse_T0": imse_t0,

@@ -275,7 +275,7 @@ class TestFitCommand:
         assert set(fit) == {
             "nu", "theta", "sigma2", "mean", "loglik",
             "n_local_maxima", "polish_improved", "noise",
-            "n_evals", "n_failed_evals", "n_polish_iters",
+            "n_evals", "n_failed_evals", "n_polish_iters", "at_bound",
         }
         assert 0.5 <= fit["nu"] <= 3.0
         assert len(fit["theta"]) == 1
@@ -473,6 +473,41 @@ BIG = 10**12
     pytest.param("fit", {"n_random": BIG}, "fit.n_random", id="fit-n_random"),
     pytest.param("fit", {"n_polish": BIG}, "fit.n_polish", id="fit-n_polish"),
     pytest.param("plan", dict(PLAN_CFG, curve_points=BIG), "plan.curve_points", id="plan-curve_points"),
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "lhs", "n": BIG}),
+                 "simulate.design.n", id="simulate-n"),
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "points", "points": [[0.5]] * 10_001}),
+                 "simulate.design.points count", id="simulate-points"),
+    pytest.param("simulate", dict(SIM_CFG, s=BIG), "simulate.s", id="simulate-s"),
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "points", "points": [[0.2], [0.7]]},
+                                  s=[2, BIG]),
+                 "simulate.s", id="simulate-s-list"),
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "lhs", "n": 10_000}, s=1000),
+                 "simulate.s summed over the points", id="simulate-s-total"),
+    pytest.param("figure1", {"n": BIG}, "figure1.n", id="figure1-n"),
+    pytest.param("figure1", {"n_designs": BIG}, "figure1.n_designs", id="figure1-n_designs"),
+    pytest.param("figure1", {"inv_tau_count": BIG}, "figure1.inv_tau_count",
+                 id="figure1-inv_tau_count"),
+    pytest.param("figure1", {"quad_m": BIG}, "figure1.quad_m", id="figure1-quad_m"),
+    pytest.param("figure1", {"spectrum_m": BIG}, "figure1.spectrum_m", id="figure1-spectrum_m"),
+    pytest.param("figure2", {"n": BIG}, "figure2.n", id="figure2-n"),
+    pytest.param("figure2", {"n_designs": BIG}, "figure2.n_designs", id="figure2-n_designs"),
+    pytest.param("figure2", {"matern": {"quad_m": 200}}, "figure2.matern.quad_m node count",
+                 id="figure2-matern-quad_m"),
+    pytest.param("figure2", {"gaussian": {"quad_m": BIG}}, "figure2.gaussian.quad_m",
+                 id="figure2-gaussian-quad_m"),
+    pytest.param("figure2", {"gaussian": {"inv_tau_count": BIG}},
+                 "figure2.gaussian.inv_tau_count", id="figure2-inv_tau_count"),
+    pytest.param("casestudy", {"n": BIG}, "casestudy.n", id="casestudy-n"),
+    pytest.param("casestudy", {"test_grid": 200}, "casestudy.test_grid point count",
+                 id="casestudy-test_grid"),
+    pytest.param("casestudy", {"eta_m": 200}, "casestudy.eta_m node count", id="casestudy-eta_m"),
+    pytest.param("casestudy", {"n_random": BIG}, "casestudy.n_random", id="casestudy-n_random"),
+    pytest.param("casestudy", {"n_polish": BIG}, "casestudy.n_polish", id="casestudy-n_polish"),
+    pytest.param("casestudy", {"s0": BIG}, "casestudy.s0", id="casestudy-s0"),
+    pytest.param("casestudy", {"s_scan_max": BIG}, "casestudy.s_scan_max",
+                 id="casestudy-s_scan_max"),
+    pytest.param("casestudy", {"test_s": 2000}, "casestudy.test_s summed over the points",
+                 id="casestudy-test_s"),
 ])
 def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     # every size is refused before anything of that size is allocated
@@ -484,6 +519,17 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert name in err and "above the limit" in err
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,cfg,name", [
+    pytest.param("figure1", {"n": None}, "figure1.n", id="figure1-n"),
+    pytest.param("simulate", dict(SIM_CFG, s={"a": 1}), "simulate.s", id="simulate-s"),
+])
+def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
+    rc, out = run_cli(command, tmp_path, cfg)
+    assert rc == 2
+    assert name in capsys.readouterr().err
     assert not (out / "run_manifest.json").exists()
 
 

@@ -23,7 +23,7 @@ from gpbudget.gp_core import (
     predict_mse,
     save_observations_csv,
 )
-from gpbudget.kernels import KernelSpec, eval_kernel, gram_matrix
+from gpbudget.kernels import KernelSpec, cross_matrix, gram_matrix
 
 # two-point instance solved by hand: Matern-3/2, l=1, x=(0,1), z=(1,2),
 # noise diagonal 0.1, prior mean 0; the 2x2 system gives these values at 0.5
@@ -127,7 +127,7 @@ class TestFitBlup:
         obs = ObservationSet([5.0, -3.0], [1e12, 1e12], [1, 1])
         pred = fit_blup(M32, design, obs, mean=0.5)
         assert predict_mean(pred, 0.4) == pytest.approx(0.5, abs=1e-6)
-        assert predict_mse(pred, 0.4) == pytest.approx(eval_kernel(M32, 0.4, 0.4), rel=1e-6)
+        assert predict_mse(pred, 0.4) == pytest.approx(cross_matrix(M32, 0.4, 0.4)[0, 0], rel=1e-6)
 
     def test_two_point_oracle(self):
         pred = _two_point_predictor()
@@ -206,7 +206,7 @@ class TestPredict:
         design = Design(np.array([[0.25], [0.75]]))
         obs = ObservationSet([1.0, -1.0], [0.0, 0.0], [1, 1])
         pred = fit_blup(M32, design, obs)
-        assert predict_mse(pred, 0.25) <= 1.01e-10 * eval_kernel(M32, 0.25, 0.25)
+        assert predict_mse(pred, 0.25) <= 1.01e-10 * cross_matrix(M32, 0.25, 0.25)[0, 0]
 
     def test_dimension_mismatch(self):
         spec2 = KernelSpec(family="gaussian", lengthscales=(1.0, 1.0))
@@ -224,7 +224,7 @@ class TestPredict:
         obs = ObservationSet(rng.normal(size=n), rng.uniform(0.001, 0.5, n), np.ones(n, int))
         pred = fit_blup(M32, design, obs)
         v = predict_mse(pred, x)
-        assert 0.0 <= v <= eval_kernel(M32, x, x) * (1 + 1e-9)
+        assert 0.0 <= v <= cross_matrix(M32, x, x)[0, 0] * (1 + 1e-9)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000))

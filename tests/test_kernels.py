@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.special import kv
+from scipy.special import gamma, gammaln, kv
 
 from gpbudget.kernels import (
     KernelSpec,
+    _bessel_factor,
+    _bessel_table,
     _matern_corr,
     _matern_corr_dtheta,
     cross_matrix,
-    eval_kernel,
     gram_matrix,
     kernel_diag,
 )
@@ -24,6 +25,11 @@ from gpbudget.kernels import (
 # int_0^inf exp(-z cosh t) cosh(nu t) dt, frozen before the implementation
 # existed (scipy.integrate.quad, abs err below 1e-13).
 BESSEL_K_131_20 = 0.16167079017083388
+
+
+def _kernel_at(spec, x, y):
+    """Covariance between two points."""
+    return cross_matrix(spec, x, y)[0, 0]
 
 
 class TestModifiedBesselK:
@@ -94,35 +100,35 @@ class TestKernelSpecJson:
 class TestEvalKernel:
     def test_matern_half_closed_form(self):
         spec = KernelSpec(family="matern1d", nu=0.5, lengthscales=(1.0,))
-        assert eval_kernel(spec, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert _kernel_at(spec, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_fbm_half_is_twice_min(self):
         spec = KernelSpec(family="fbm", hurst=0.5)
-        assert eval_kernel(spec, 0.3, 0.7) == pytest.approx(0.6, rel=1e-12)
-        assert eval_kernel(spec, 0.3, 0.7) == pytest.approx(2 * min(0.3, 0.7), rel=1e-12)
+        assert _kernel_at(spec, 0.3, 0.7) == pytest.approx(0.6, rel=1e-12)
+        assert _kernel_at(spec, 0.3, 0.7) == pytest.approx(2 * min(0.3, 0.7), rel=1e-12)
 
     def test_stationary_diagonal_is_variance(self):
         spec = KernelSpec(family="matern1d", nu=2.5, lengthscales=(0.2,), variance=1.7)
         x = 0.31
-        assert eval_kernel(spec, x, x) == 1.7
+        assert _kernel_at(spec, x, x) == 1.7
 
     def test_dimension_mismatch(self):
         spec = KernelSpec(family="gaussian", lengthscales=(1.0, 1.0))
         with pytest.raises(ValueError):
-            eval_kernel(spec, [0.0, 0.0], [0.0, 0.0, 0.0])
+            _kernel_at(spec, [0.0, 0.0], [0.0, 0.0, 0.0])
 
     def test_non_finite_input(self):
         spec = KernelSpec(family="gaussian")
         with pytest.raises(ValueError):
-            eval_kernel(spec, math.nan, 0.0)
+            _kernel_at(spec, math.nan, 0.0)
 
     def test_tensor_matern_multiplies_factors(self):
         spec = KernelSpec(family="matern_tensor", nu=1.5, lengthscales=(0.3, 0.7))
         f1 = KernelSpec(family="matern1d", nu=1.5, lengthscales=(0.3,))
         f2 = KernelSpec(family="matern1d", nu=1.5, lengthscales=(0.7,))
-        v = eval_kernel(spec, [0.1, 0.2], [0.5, 0.9])
+        v = _kernel_at(spec, [0.1, 0.2], [0.5, 0.9])
         assert v == pytest.approx(
-            eval_kernel(f1, 0.1, 0.5) * eval_kernel(f2, 0.2, 0.9), rel=1e-12
+            _kernel_at(f1, 0.1, 0.5) * _kernel_at(f2, 0.2, 0.9), rel=1e-12
         )
 
     def test_general_nu_matches_bessel_formula(self):
@@ -131,7 +137,7 @@ class TestEvalKernel:
         u = math.sqrt(2 * nu) * r / l
         expect = 2 ** (1 - nu) / math.gamma(nu) * u**nu * kv(nu, u)
         spec = KernelSpec(family="matern1d", nu=nu, lengthscales=(l,))
-        assert eval_kernel(spec, 0.0, r) == pytest.approx(expect, rel=1e-12)
+        assert _kernel_at(spec, 0.0, r) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize(
         "nu,closed",
@@ -145,16 +151,16 @@ class TestEvalKernel:
         spec = KernelSpec(family="matern1d", nu=nu, lengthscales=(0.4,))
         for r in (0.05, 0.3, 1.1, 2.7):
             u = math.sqrt(2 * nu) * r / 0.4
-            assert eval_kernel(spec, 0.0, r) == pytest.approx(closed(u), rel=1e-10)
+            assert _kernel_at(spec, 0.0, r) == pytest.approx(closed(u), rel=1e-10)
 
     def test_near_half_integer_continuity(self):
         a = KernelSpec(family="matern1d", nu=1.5, lengthscales=(1.0,))
         b = KernelSpec(family="matern1d", nu=1.5 + 1e-7, lengthscales=(1.0,))
-        assert eval_kernel(a, 0.0, 0.8) == pytest.approx(eval_kernel(b, 0.0, 0.8), rel=1e-5)
+        assert _kernel_at(a, 0.0, 0.8) == pytest.approx(_kernel_at(b, 0.0, 0.8), rel=1e-5)
 
     def test_finite_rank_constant(self):
         spec = KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"),))
-        assert eval_kernel(spec, 0.2, 0.9) == pytest.approx(1.0, rel=1e-12)
+        assert _kernel_at(spec, 0.2, 0.9) == pytest.approx(1.0, rel=1e-12)
 
     def test_finite_rank_cosine_expansion(self):
         spec = KernelSpec(family="finite_rank", rank_terms=((2.0, "cos:1"), (0.5, "leg:2")))
@@ -162,7 +168,7 @@ class TestEvalKernel:
         c1 = math.sqrt(2) * math.cos(math.pi * x) * math.sqrt(2) * math.cos(math.pi * y)
         p2 = lambda t: 0.5 * (3 * (2 * t - 1) ** 2 - 1)
         l2 = math.sqrt(5) * p2(x) * math.sqrt(5) * p2(y)
-        assert eval_kernel(spec, x, y) == pytest.approx(2.0 * c1 + 0.5 * l2, rel=1e-12)
+        assert _kernel_at(spec, x, y) == pytest.approx(2.0 * c1 + 0.5 * l2, rel=1e-12)
 
 
 def _random_spec(draw):
@@ -181,15 +187,15 @@ class TestKernelProperties:
     @given(st.data(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_symmetry(self, data, x, y):
         spec = _random_spec(data.draw)
-        a, b = eval_kernel(spec, x, y), eval_kernel(spec, y, x)
+        a, b = _kernel_at(spec, x, y), _kernel_at(spec, y, x)
         assert abs(a - b) <= 1e-14 * max(abs(a), 1e-300)
 
     @settings(deadline=None, max_examples=60)
     @given(st.data(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_cauchy_schwarz(self, data, x, y):
         spec = _random_spec(data.draw)
-        kxy = eval_kernel(spec, x, y)
-        bound = eval_kernel(spec, x, x) * eval_kernel(spec, y, y)
+        kxy = _kernel_at(spec, x, y)
+        bound = _kernel_at(spec, x, x) * _kernel_at(spec, y, y)
         assert kxy * kxy <= bound * (1 + 1e-12) + 1e-12
 
     def test_diagonal_bounded_on_unit_cube(self):
@@ -344,3 +350,43 @@ class TestMaternLengthscaleDerivative:
 
     def test_zero_at_coincident_points(self):
         assert np.array_equal(_matern_corr_dtheta(np.array([0.0, 1e-12]), 1.31, 0.3), [0.0, 0.0])
+
+
+def _direct_bessel_factor(u, nu, mu):
+    """2^{1-nu}/Gamma(nu) u^nu K_mu(u) straight from kv, as the kernel computes it off the table."""
+    return np.exp((1 - nu) * np.log(2.0) - gammaln(nu) + nu * np.log(u)) * kv(mu, u)
+
+
+class TestBesselTable:
+    """The tabulated Bessel factor against scipy's kv."""
+
+    @pytest.mark.parametrize("shift", [0, 1], ids=["mu=nu", "mu=nu-1"])
+    def test_matches_scipy_kv(self, shift):
+        rng = np.random.default_rng(31)
+        nus = np.concatenate([rng.uniform(0.5, 3.0, 100), [1.0, 5.3]])
+        for nu in nus:
+            mu = nu - shift
+            u = np.exp(rng.uniform(math.log(1e-10), math.log(690.0), 4))
+            want = 2 ** (1 - nu) / gamma(nu) * u**nu * kv(mu, u)
+            np.testing.assert_allclose(_bessel_factor(u, nu, mu), want, rtol=1e-12, atol=0)
+
+    def test_failed_check_falls_back_to_kv(self):
+        # kv overflows at the table's small-u nodes for this nu
+        nu, theta = 30.7, 0.4
+        assert _bessel_table(nu, nu) is None and _bessel_table(nu, nu - 1) is None
+        r = np.array([0.0, 1e-12, 1e-8, 1e-3, 0.4, 2.5, 40.0, 200.0])
+        u = math.sqrt(2 * nu) * r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = np.where(u > 1e-10, _direct_bessel_factor(u, nu, nu), 1.0)
+            slope = np.where(u > 1e-10, _direct_bessel_factor(u, nu, nu - 1) * u / theta, 0.0)
+            assert np.array_equal(_matern_corr(r, nu), np.where(np.isnan(corr), 1.0, corr))
+            assert np.array_equal(_matern_corr_dtheta(r, nu, theta),
+                                  np.where(np.isnan(slope), 0.0, slope))
+
+    def test_above_the_table_uses_kv(self):
+        nu = 1.31
+        u = np.array([100.0, 690.0, 690.5, 697.0, 720.0])
+        got = _bessel_factor(u, nu, nu)
+        far = u > 690.0
+        assert np.array_equal(got[far], _direct_bessel_factor(u[far], nu, nu))
+        np.testing.assert_allclose(got[~far], _direct_bessel_factor(u[~far], nu, nu), rtol=1e-12)

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, kv
 
 from gpbudget.gp_core import Design, ObservationSet, UniformBox
 from gpbudget.kernels import KernelSpec, cross_matrix, gram_matrix
@@ -131,6 +132,33 @@ class TestConcentratedLikelihood:
             concentrated_log_likelihood(np.array([1.0, 0.3, 0.2]), design, np.zeros(4), 0.0, 0.1)
 
 
+def _dense_bessel_loglik(params, points, z, m, noise):
+    """Concentrated log-likelihood from a Matern correlation written out with scipy's kv."""
+    nu, theta, sigma2 = params[0], params[1:-1], params[-1]
+    n = len(points)
+    corr = np.ones((n, n))
+    for j, t in enumerate(theta):
+        u = math.sqrt(2 * nu) * np.abs(points[:, j][:, None] - points[:, j][None, :]) / t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = 2 ** (1 - nu) / gamma(nu) * u**nu * kv(nu, u)
+        corr *= np.where(u == 0, 1.0, f)
+    C = sigma2 * corr + noise * np.eye(n)
+    r = z - m
+    return -0.5 * r @ np.linalg.solve(C, r) - 0.5 * np.linalg.slogdet(C)[1]
+
+
+def test_likelihood_matches_dense_bessel_reference():
+    # the tabulated Bessel factor against kv at every entry, over the search box
+    design = latin_hypercube_design(30, 2, np.random.SeedSequence(21))
+    rng = np.random.default_rng(22)
+    z = rng.normal(0.2, 0.5, 30)
+    lo, hi = np.array(default_bounds(2)).T
+    for p in rng.uniform(lo, hi, size=(300, 4)):
+        got = concentrated_log_likelihood(p, design, z, 0.2, 3e-3)
+        want = _dense_bessel_loglik(p, design.points, z, 0.2, 3e-3)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
 class TestLikelihoodGradient:
     """The polish gradient against a central difference of the public value."""
 
@@ -238,6 +266,16 @@ class TestFitHyperparameters:
         with pytest.raises(ValueError, match="variances"):
             fit_hyperparameters(design, z, noise=0.02, seed=1, bounds=bounds,
                                 n_random=5, n_polish=1)
+
+    def test_at_bound_names_a_nu_on_the_box_edge(self):
+        # the data favour a smoother field than the box allows
+        design, z = self._data()
+        bounds = [(0.5, 0.6), (0.05, 0.3), (0.1, 0.6)]
+        fit = fit_hyperparameters(
+            design, z, noise=0.02, seed=9, bounds=bounds, n_random=20, n_polish=2
+        )
+        assert fit.nu == 0.6
+        assert fit.at_bound == ("nu",)
 
     def test_explicit_mean_is_kept(self):
         design, z = self._data(n=10)

@@ -438,7 +438,7 @@ class TestCaseStudyDriver:
         assert report["sigma_eps2_bar"] > 0
         assert set(report["fit"]) == {
             "nu", "theta", "sigma2", "mean", "loglik", "n_local_maxima",
-            "n_evals", "n_failed_evals", "n_polish_iters",
+            "n_evals", "n_failed_evals", "n_polish_iters", "at_bound",
         }
         assert report["imse_T0"] > 0
         assert report["target_imse"] == pytest.approx(0.5 * report["imse_T0"])
