@@ -372,8 +372,8 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     T = int(cfg["T"])
     if T < len(points):
         raise ConfigError(f"allocate.T: budget {T} below the number of points {len(points)}")
-    if np.any(noise <= 0):
-        raise ConfigError("allocate.sigma_eps2: noise variances must be positive")
+    if not np.all(np.isfinite(noise) & (noise > 0)):
+        raise ConfigError("allocate.sigma_eps2: noise variances must be finite and positive")
     design = Design(points, _bounding_box(points))
     eta = _parse_measure(cfg["eta"], "allocate.eta") if "eta" in cfg else _default_eta(design.measure)
     plan = plan_allocation(spec, design, noise, T, eta)

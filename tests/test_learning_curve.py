@@ -37,6 +37,7 @@ from gpbudget.learning_curve import (
     rate_law,
     single_design_imse,
 )
+from gpbudget.sim_harness import FIGURE1_DEFAULTS, FIGURE2_DEFAULTS
 from gpbudget.spectrum import Spectrum, nystrom_spectrum
 
 BROWNIAN = KernelSpec(family="brownian")
@@ -52,6 +53,36 @@ EVERY_FAMILY = (
     KernelSpec(family="triangular", lengthscales=(0.3,)),
     KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"), (0.5, "leg:2"))),
 )
+
+
+def _family_id(spec):
+    return spec.family if spec.nu is None else f"{spec.family}-{spec.nu}"
+
+
+def _figure_cases():
+    """(kernel, quadrature, box, n, tau grid) of each figure curve at its defaults."""
+    def taus(c):
+        return 1.0 / np.geomspace(c["inv_tau_min"], c["inv_tau_max"], c["inv_tau_count"])
+
+    unit = UniformBox(((0.0, 1.0),))
+    cases = [
+        pytest.param(KernelSpec(family="fbm", hurst=float(h)),
+                     Quadrature.trapezoid(FIGURE1_DEFAULTS["quad_m"]), unit,
+                     FIGURE1_DEFAULTS["n"], taus(FIGURE1_DEFAULTS), id=f"fbm-{h}")
+        for h in FIGURE1_DEFAULTS["hurst"]
+    ]
+    mc, gc = FIGURE2_DEFAULTS["matern"], FIGURE2_DEFAULTS["gaussian"]
+    square = ((0.0, 1.0), (0.0, 1.0))
+    cases.append(pytest.param(
+        KernelSpec(family="matern_tensor", nu=mc["nu"], lengthscales=(mc["theta"],) * 2),
+        Quadrature.tensor_trapezoid([mc["quad_m"]] * 2, square), UniformBox(square),
+        FIGURE2_DEFAULTS["n"], taus(mc), id="matern_tensor-2d"))
+    cases.append(pytest.param(
+        KernelSpec(family="gaussian", lengthscales=(gc["theta"],)),
+        Quadrature.trapezoid(gc["quad_m"]), unit, FIGURE2_DEFAULTS["n"], taus(gc),
+        id="gaussian"))
+    return cases
+
 
 # direct-summation oracles for the Brownian kernel at tau = 0.05
 BROWNIAN_IMSE_LIMIT_TAU_005 = 0.11177422592127886
@@ -232,11 +263,12 @@ class TestEmpiricalLearningCurve:
         mean, _ = empirical_learning_curve(BROWNIAN, 40, taus, 4, seed=5)
         assert np.all(np.diff(mean) < 0)
 
-    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda k: k.family if k.nu is None else f"{k.family}-{k.nu}")
+    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=_family_id)
     def test_matches_reference_predictor_path(self, spec):
-        # the operator path runs the same arithmetic as fit_blup plus
-        # integrated_mse, so the two agree exactly, also when a zero noise
-        # entry forces the jitter
+        # the curve sums over the eigenvalues of K, so it agrees with the
+        # predictor path to rounding; ImseOperator.imse runs the same
+        # arithmetic as fit_blup plus integrated_mse, so those two agree
+        # exactly, also when a zero noise entry forces the jitter
         seed, n = 77, 25
         quad = Quadrature.trapezoid(500, 0.0, 1.0)
         mean, _ = empirical_learning_curve(
@@ -246,7 +278,9 @@ class TestEmpiricalLearningCurve:
         rng = np.random.default_rng(ss)
         pts = UniformBox(((0.0, 1.0),)).sample(n, rng)
 
-        assert mean[0] == single_design_imse(spec, Design(pts), 0.07, quad)
+        np.testing.assert_allclose(
+            mean[0], single_design_imse(spec, Design(pts), 0.07, quad), rtol=1e-12
+        )
         delta = np.linspace(0.0, 0.2, n)
         obs = ObservationSet(np.zeros(n), delta, np.ones(n, dtype=int))
         ref = integrated_mse(fit_blup(spec, Design(pts), obs), quad)
@@ -267,6 +301,48 @@ class TestEmpiricalLearningCurve:
             empirical_learning_curve(BROWNIAN, 10, [-0.1], 2, seed=0)
         with pytest.raises(ValueError):
             empirical_learning_curve(BROWNIAN, 10, [], 2, seed=0)
+
+
+class TestImseScaled:
+    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=_family_id)
+    def test_matches_cholesky_path_every_family(self, spec):
+        n = 25
+        pts = UniformBox(((0.0, 1.0),)).sample(n, np.random.default_rng(3))
+        op = ImseOperator(spec, pts, Quadrature.trapezoid(500))
+        c = n * np.array([0.2, 0.07, 0.01])
+        want = [op.imse(np.full(n, cj)) for cj in c]
+        np.testing.assert_allclose(op.imse_scaled(c), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("spec, quad, box, n, taus", _figure_cases())
+    def test_matches_cholesky_path_figure_kernels(self, spec, quad, box, n, taus):
+        op = ImseOperator(spec, box.sample(n, np.random.default_rng(4)), quad)
+        c = n * taus
+        want = [op.imse(np.full(n, cj)) for cj in c]
+        np.testing.assert_allclose(op.imse_scaled(c), want, rtol=1e-12)
+
+    def test_scale_below_floor_takes_cholesky_path(self):
+        # K of 200 points at lengthscale 0.5 is singular to working
+        # precision, so lambda_min + c sits far below the floor at c = 1e-12
+        n = 200
+        spec = KernelSpec(family="gaussian", lengthscales=(0.5,))
+        pts = UniformBox(((0.0, 1.0),)).sample(n, np.random.default_rng(0))
+        op = ImseOperator(spec, pts, Quadrature.trapezoid(400))
+        got = op.imse_scaled([1e-12, 1.0])
+        assert got[0] == op.imse(np.full(n, 1e-12))
+        np.testing.assert_allclose(got[1], op.imse(np.full(n, 1.0)), rtol=1e-12)
+
+    @pytest.mark.parametrize("c", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_scales(self, c):
+        op = ImseOperator(BROWNIAN, [[0.2], [0.6]], Quadrature.trapezoid(50))
+        with pytest.raises(ValueError, match="finite and > 0"):
+            op.imse_scaled([0.1, c])
+
+    def test_eigendecomposition_is_lazy(self):
+        op = ImseOperator(BROWNIAN, [[0.2], [0.6]], Quadrature.trapezoid(50))
+        op.imse([0.1, 0.1])
+        assert "_spectral" not in vars(op)
+        op.imse_scaled([0.1])
+        assert "_spectral" in vars(op)
 
 
 class TestLogLogSlope:
