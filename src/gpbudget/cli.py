@@ -281,23 +281,7 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
         mean=cfg.get("mean"),
     )
     with open(out / "fit.json", "w") as fh:
-        json.dump(
-            {
-                "nu": fit.nu,
-                "theta": list(fit.theta),
-                "sigma2": fit.sigma2,
-                "mean": fit.mean,
-                "loglik": fit.loglik,
-                "n_local_maxima": fit.n_local_maxima,
-                "polish_improved": fit.polish_improved,
-                "n_evals": fit.n_evals,
-                "n_failed_evals": fit.n_failed_evals,
-                "n_polish_iters": fit.n_polish_iters,
-                "at_bound": list(fit.at_bound),
-                "noise": noise,
-            },
-            fh, indent=2,
-        )
+        json.dump(dict(fit.to_json(), noise=noise), fh, indent=2)
     return ["fit.json"]
 
 

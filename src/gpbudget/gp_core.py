@@ -169,6 +169,14 @@ class Design:
         return self.points.shape[1]
 
 
+def _whole_counts(s) -> np.ndarray:
+    """Replication counts as ints of the same shape; ValueError unless all are whole."""
+    s_in = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s_in) & (s_in == np.floor(s_in))):
+        raise ValueError("replication counts must be whole numbers")
+    return s_in.astype(int)
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Averaged observations: mean value, variance of the mean, replicate count."""
@@ -181,10 +189,7 @@ class ObservationSet:
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float).ravel()
         nv = np.asarray(self.noise_var, dtype=float).ravel()
-        s_in = np.asarray(self.s, dtype=float).ravel()
-        if not np.all(np.isfinite(s_in) & (s_in == np.floor(s_in))):
-            raise ValueError("replication counts must be whole numbers")
-        s = s_in.astype(int)
+        s = _whole_counts(self.s).ravel()
         if not (len(means) == len(nv) == len(s)):
             raise ValueError("means, noise_var and s must have equal length")
         if np.any(s < 1):

@@ -391,18 +391,19 @@ def kernel_diag(spec: KernelSpec, x) -> np.ndarray:
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric covariance matrix of a point set.
 
-    Only the strict upper triangle is evaluated through the kernel; the
-    result is exactly symmetric with kernel_diag on the diagonal.
+    A one-dimensional family evaluates its broadcasting formula on the
+    whole square, whose terms commute, so the result is exactly symmetric.
+    A stationary family evaluates only the strict upper triangle and
+    mirrors it around a ``kernel_diag`` diagonal.
     """
     X = _as_points(points, spec.dim)
     if len(X) == 0:
         raise ValueError("gram_matrix requires at least one point")
-    rows, cols = np.triu_indices(len(X), k=1)
     if spec.family in _ONE_D_FAMILIES:
-        upper = _coordinate_kernel(spec, X[rows, 0], X[cols, 0])
-    else:
-        upper = _stationary(spec, (
-            _axis_term(spec, (X[rows, j] - X[cols, j]) / l)
-            for j, l in enumerate(spec.lengthscales)
-        ))
+        return _coordinate_kernel(spec, X[:, 0][:, None], X[:, 0][None, :])
+    rows, cols = np.triu_indices(len(X), k=1)
+    upper = _stationary(spec, (
+        _axis_term(spec, (X[rows, j] - X[cols, j]) / l)
+        for j, l in enumerate(spec.lengthscales)
+    ))
     return _square_from_triangle(upper, kernel_diag(spec, X))

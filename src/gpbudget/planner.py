@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -59,6 +59,10 @@ class HyperparameterFit:
     n_failed_evals: int
     n_polish_iters: int
     at_bound: tuple[str, ...]
+
+    def to_json(self) -> dict:
+        """The fields in declaration order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 class LikelihoodFitError(RuntimeError):
@@ -104,20 +108,19 @@ def _axis_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np
     return rows, cols, [np.abs(points[rows, j] - points[cols, j]) for j in range(points.shape[1])]
 
 
-def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, nu_bounds=None):
+def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, gradient: bool = False):
     """Concentrated log-likelihood at params = (nu, theta_1..theta_d, sigma2).
 
     ``pairs`` is ``_axis_distances`` of the design.  The correlation matrix
     is assembled by ``gram_matrix``'s own helper, so the value is bitwise
     the one a freshly built Matern kernel gives.  Both axes read the Bessel
     factor from one cached table for nu (``kernels._bessel_table``); the
-    gradient adds one for nu - 1 and the nu difference one for each shifted
-    nu, so a general-nu evaluation costs a few hundred ``kv`` calls, not one
-    per entry.  With ``nu_bounds``
-    the result is (value, gradient).  The lengthscale and sigma2 entries are
-    dL/dp = 1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams
-    2006, eq. 5.9); the nu entry is a central difference of relative step
-    ``_FD_REL_STEP``, one-sided inside ``nu_bounds``.
+    gradient adds one for nu - 1 and one for each of nu +- h, so a
+    general-nu evaluation costs a few hundred ``kv`` calls, not one per
+    entry.  With ``gradient`` the result is (value, gradient), from the one
+    Cholesky factorization: each entry is dL/dp = 1/2 tr((alpha alpha' -
+    C^{-1}) dC/dp) (Rasmussen & Williams 2006, eq. 5.9), with dC/dnu a
+    central difference of the correlation at h = ``_FD_REL_STEP`` * nu.
     """
     params = np.asarray(params, dtype=float)
     rows, cols, dists = pairs
@@ -131,23 +134,16 @@ def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, nu_bounds=No
     alpha = cho_solve((c, low), resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     value = float(-0.5 * np.dot(resid, alpha) - 0.5 * logdet)
-    if nu_bounds is None:
+    if not gradient:
         return value
-
-    # at a bound the one-sided 3-point rule keeps every shifted nu inside it
-    h = _FD_REL_STEP * max(1.0, abs(nu))
-    if nu - h < nu_bounds[0]:
-        steps, coef = (h, 2 * h), (4.0, -1.0, -3.0)
-    elif nu + h > nu_bounds[1]:
-        steps, coef = (-h, -2 * h), (-4.0, 1.0, 3.0)
-    else:
-        steps, coef = (h, -h), (1.0, -1.0, 0.0)
-    shifted = [_log_likelihood(np.r_[nu + s, params[1:]], pairs, resid, noise) for s in steps]
-    grad = [(coef[0] * shifted[0] + coef[1] * shifted[1] + coef[2] * value) / (2 * h)]
 
     W = np.outer(alpha, alpha) - cho_solve((c, low), np.eye(n))
     w = W[rows, cols]
-    # dC/dtheta_j has a zero diagonal, so its trace term is a sum over i < k
+    # dC/dnu and dC/dtheta_j have a zero diagonal (the correlation is 1 at
+    # r = 0 for every nu), so their trace terms are sums over i < k
+    h = _FD_REL_STEP * nu
+    up, down = (reduce(np.multiply, [_matern_corr(rj, nu + s) for rj in scaled]) for s in (h, -h))
+    grad = [sigma2 * float(np.dot(w, (up - down) / (2 * h)))]
     for j, (rj, t) in enumerate(zip(scaled, theta)):
         slope = _matern_corr_dtheta(rj, nu, float(t))
         for k, f in enumerate(factors):
@@ -209,12 +205,12 @@ def fit_hyperparameters(
 
     ``n_random`` uniform draws in the bounds box are scored, the best
     ``n_polish`` are refined by bounded L-BFGS-B, and the overall best
-    point wins (ties broken by draw order).  The polish gradient is
-    analytic in the lengthscales and sigma2; in nu it is a central
-    difference of relative step ``_FD_REL_STEP``, one-sided at the nu
-    bounds.  Distinct polished optima are counted as a multimodality
-    diagnostic.  A start whose covariance cannot be factorized scores
-    -inf; if every start does, LikelihoodFitError is raised.
+    point wins (ties broken by draw order).  Each polish step makes one
+    Cholesky factorization for the value and the gradient (see
+    ``_log_likelihood``).  Distinct polished optima are counted as a
+    multimodality diagnostic.  A start whose covariance cannot be
+    factorized scores -inf; if every start does, LikelihoodFitError is
+    raised.
     """
     z = np.asarray(values, dtype=float).ravel()
     d = design.dim
@@ -249,7 +245,7 @@ def fit_hyperparameters(
         return np.inf if value is None else -value
 
     def polish_objective(params):
-        out = evaluate(_log_likelihood, params, pairs, r, noise, bounds[0])
+        out = evaluate(_log_likelihood, params, pairs, r, noise, True)
         if out is None:
             return np.inf, np.zeros(len(params))
         return -out[0], -out[1]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -32,6 +34,7 @@ from .gp_core import (
     max_squared_error,
     save_observations_csv,
     _FLOAT_FMT,
+    _whole_counts,
 )
 from .kernels import KernelSpec, _as_points
 from .learning_curve import (
@@ -136,8 +139,8 @@ def sample_observations(sim: SyntheticSimulator, design: Design, s, seed) -> Obs
     point's replicate count leaves the draws at other points untouched.
     """
     n = design.n
-    s_arr = np.asarray(s, dtype=int)
-    s = np.full(n, int(s_arr)) if s_arr.ndim == 0 else s_arr.ravel().copy()
+    s_arr = _whole_counts(s)
+    s = np.full(n, int(s_arr)) if s_arr.ndim == 0 else s_arr.ravel()
     if len(s) != n or np.any(s < 1):
         raise ValueError("replicate counts must match the design and be >= 1")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -170,18 +173,39 @@ def latin_hypercube_design(n: int, dim: int, seed, box: UniformBox | None = None
 
 
 def _merge_config(defaults: dict, overrides: dict | None, context: str) -> dict:
+    """Defaults with each override in the type of its default; ValueError names a misfit.
+
+    An int default takes a whole number, a float default any finite number
+    (never a bool); bool, list and dict defaults take only their own type.
+    """
     if overrides is None:
         return dict(defaults)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{context}: expected an object, got {overrides!r}")
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {context} config keys: {sorted(unknown)}")
     out = dict(defaults)
     for key, val in overrides.items():
-        if isinstance(defaults[key], dict):
-            out[key] = _merge_config(defaults[key], val, f"{context}.{key}")
-        else:
-            out[key] = val
+        out[key] = _typed_override(defaults[key], val, f"{context}.{key}")
     return out
+
+
+def _typed_override(default, val, name: str):
+    """``val`` converted to the type of ``default``, or ValueError naming ``name``."""
+    if isinstance(default, (bool, list, dict)):
+        if not isinstance(val, type(default)):
+            raise ValueError(f"{name}: expected a {type(default).__name__}, got {val!r}")
+        return _merge_config(default, val, name) if isinstance(default, dict) else val
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {val!r}")
+    if isinstance(default, int):
+        if not (isinstance(val, numbers.Integral) or float(val).is_integer()):
+            raise ValueError(f"{name}: expected a whole number, got {val!r}")
+        return int(val)
+    if not abs(val) <= sys.float_info.max:
+        raise ValueError(f"{name}: expected a finite number, got {val!r}")
+    return float(val)
 
 
 def _write_curve_csv(path, inv_tau, mean, stderr, theory) -> None:
@@ -441,18 +465,7 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
         "n": n,
         "s0": s0,
         "sigma_eps2_bar": noise_bar,
-        "fit": {
-            "nu": fit.nu,
-            "theta": list(fit.theta),
-            "sigma2": fit.sigma2,
-            "mean": fit.mean,
-            "loglik": fit.loglik,
-            "n_local_maxima": fit.n_local_maxima,
-            "n_evals": fit.n_evals,
-            "n_failed_evals": fit.n_failed_evals,
-            "n_polish_iters": fit.n_polish_iters,
-            "at_bound": list(fit.at_bound),
-        },
+        "fit": fit.to_json(),
         "nu_floored_for_rate": bool(nu_for_rate != fit.nu),
         "imse_T0": imse_t0,
         "emse_T0": emse_t0,

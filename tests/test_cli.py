@@ -239,6 +239,14 @@ class TestSimulateCommand:
         assert rc == 2
         assert "replicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", [2.5, 1.9, [2, 1.9]])
+    def test_fractional_count_exits_2(self, s, tmp_path, capsys):
+        design = {"type": "points", "points": [[0.2], [0.7]]}
+        rc, out = run_cli("simulate", tmp_path, dict(SIM_CFG, design=design, s=s))
+        assert rc == 2
+        assert "whole numbers" in capsys.readouterr().err
+        assert not (out / "observations.csv").exists()
+
     def test_unknown_design_type(self, tmp_path, capsys):
         cfg = dict(SIM_CFG, design={"type": "sobol", "n": 8})
         rc, _ = run_cli("simulate", tmp_path, cfg)
@@ -548,6 +556,12 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
 @pytest.mark.parametrize("command,cfg,name", [
     pytest.param("figure1", {"n": None}, "figure1.n", id="figure1-n"),
     pytest.param("simulate", dict(SIM_CFG, s={"a": 1}), "simulate.s", id="simulate-s"),
+    # figure and case-study configs are checked in the form they are run
+    pytest.param("figure1", {"n": "40"}, "figure1.n", id="figure1-n-string"),
+    pytest.param("figure1", {"n": 40.5}, "figure1.n", id="figure1-n-fraction"),
+    pytest.param("figure1", {"hurst": 0.5}, "figure1.hurst", id="figure1-hurst-scalar"),
+    pytest.param("figure2", {"matern": 5}, "figure2.matern", id="figure2-matern-scalar"),
+    pytest.param("casestudy", {"s0": 2.5}, "casestudy.s0", id="casestudy-s0-fraction"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)

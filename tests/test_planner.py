@@ -18,8 +18,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from scipy.special import gamma, kv
 
+from gpbudget import planner
 from gpbudget.gp_core import Design, ObservationSet, UniformBox
 from gpbudget.kernels import KernelSpec, cross_matrix, gram_matrix
 from gpbudget.learning_curve import rate_law
@@ -162,7 +164,7 @@ def test_likelihood_matches_dense_bessel_reference():
 class TestLikelihoodGradient:
     """The polish gradient against a central difference of the public value."""
 
-    NOISE, MEAN, BOUNDS = 3e-3, 0.1, (0.5, 3.0)
+    NOISE, MEAN = 3e-3, 0.1
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -175,12 +177,14 @@ class TestLikelihoodGradient:
         (0.5, 0.2, 0.7, 0.3),    # nu at the lower bound
         (3.0, 0.4, 0.1, 0.6),    # nu at the upper bound
         (2.2, 0.01, 0.02, 0.5),  # lengthscales at the floor of the box
+        (2.7071, 0.36, 0.56, 0.205),  # general nu
+        (2.5, 0.3, 0.4, 0.5),    # closed form at nu, the table at nu +- h
     ])
     def test_matches_central_difference(self, data, params):
         design, z = data
         p = np.array(params)
         value, grad = _log_likelihood(
-            p, _axis_distances(design.points), z - self.MEAN, self.NOISE, self.BOUNDS
+            p, _axis_distances(design.points), z - self.MEAN, self.NOISE, True
         )
         assert value == concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
         fd = []
@@ -198,7 +202,7 @@ class TestLikelihoodGradient:
         rng = np.random.default_rng(12)
         lo, hi = np.array(default_bounds(2)).T
         for p in rng.uniform(lo, hi, size=(20, 4)):
-            polished, _ = _log_likelihood(p, pairs, z - self.MEAN, self.NOISE, self.BOUNDS)
+            polished, _ = _log_likelihood(p, pairs, z - self.MEAN, self.NOISE, True)
             assert polished == concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
 
 
@@ -252,6 +256,20 @@ class TestFitHyperparameters:
         fit = fit_hyperparameters(design, z, noise=0.02, seed=123, n_random=25, n_polish=3)
         assert fit.n_evals > 25 and fit.n_failed_evals == 0
         assert fit.n_polish_iters >= 1
+
+    def test_one_factorization_per_evaluation(self, monkeypatch):
+        # the polish gradient, nu entry included, reuses the value's factorization
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "cho_factor", counting)
+        design, z = self._data()
+        fit = fit_hyperparameters(design, z, noise=0.02, seed=123, n_random=25, n_polish=3)
+        assert fit.n_polish_iters >= 1
+        assert len(calls) == fit.n_evals
 
     def test_no_finite_start_raises(self):
         # three copies of one point with no noise: sigma2 * ones(3, 3) is singular

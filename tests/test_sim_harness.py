@@ -194,6 +194,12 @@ class TestSampleObservations:
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.s, b.s)
 
+    @pytest.mark.parametrize("s", [2.5, 1.9, [2, 1.9]])
+    def test_fractional_count_rejected(self, s):
+        sim = SyntheticSimulator(truth="sine1d", noise_level=1e-3)
+        with pytest.raises(ValueError, match="whole numbers"):
+            sample_observations(sim, _line_design([0.25, 0.75]), s, seed=3)
+
     def test_per_point_streams_are_independent(self):
         # raising one point's count must not disturb the others' draws
         sim = SyntheticSimulator(truth="sine1d", noise_level=1e-2)
@@ -289,6 +295,22 @@ class TestConfigMerge:
         defaults = {"sub": {"x": 2}}
         with pytest.raises(ValueError, match=r"ctx\.sub"):
             _merge_config(defaults, {"sub": {"z": 1}}, "ctx")
+
+    def test_override_takes_the_type_of_its_default(self):
+        defaults = {"i": 1, "f": 0.5, "b": True, "l": [1], "sub": {"x": 2}}
+        out = _merge_config(defaults, {"i": 40.0, "f": 2, "b": False, "l": [], "sub": {}}, "ctx")
+        assert out == {"i": 40, "f": 2.0, "b": False, "l": [], "sub": {"x": 2}}
+        assert type(out["i"]) is int and type(out["f"]) is float
+
+    @pytest.mark.parametrize("key,val", [
+        ("i", "40"), ("i", 40.5), ("i", True), ("i", None), ("i", math.inf),
+        ("f", "0.5"), ("f", False), ("f", math.nan), ("f", 10**400),
+        ("b", 1), ("l", 0.5), ("l", (1,)), ("sub", 5), ("sub", None), ("sub.x", {"x": 2.5}),
+    ])
+    def test_misfit_override_names_its_dotted_key(self, key, val):
+        defaults = {"i": 1, "f": 0.5, "b": True, "l": [1], "sub": {"x": 2}}
+        with pytest.raises(ValueError, match=rf"ctx\.{key}: expected"):
+            _merge_config(defaults, {key.split(".")[0]: val}, "ctx")
 
     def test_drivers_reject_unknown_keys(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):
@@ -438,7 +460,7 @@ class TestCaseStudyDriver:
         assert report["sigma_eps2_bar"] > 0
         assert set(report["fit"]) == {
             "nu", "theta", "sigma2", "mean", "loglik", "n_local_maxima",
-            "n_evals", "n_failed_evals", "n_polish_iters", "at_bound",
+            "polish_improved", "n_evals", "n_failed_evals", "n_polish_iters", "at_bound",
         }
         assert report["imse_T0"] > 0
         assert report["target_imse"] == pytest.approx(0.5 * report["imse_T0"])
