@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -67,11 +68,18 @@ class ConfigError(ValueError):
 
 
 def _bounded(value, cap: int, name: str) -> int:
-    """A configured size as an int, refused above ``cap``."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
+    """A configured size as an int, refused above ``cap``.
+
+    Only a whole, finite number passes: a bool, a fraction, an infinity,
+    a string or null is refused rather than truncated or counted as 1.
+    """
+    whole = not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if not whole:
         raise ConfigError(f"{name}: expected a whole number, got {value!r}")
+    n = int(value)
     if n > cap:
         raise ConfigError(f"{name} = {n} is above the limit of {cap}")
     return n
@@ -81,11 +89,22 @@ def _bounded_replicates(s, n_points: int, name: str) -> None:
     """Refuse replicate counts (one for all points, or one per point) above
     MAX_COUNT, each or summed over the points."""
     try:
-        s = np.asarray(s, dtype=float)
+        counts = np.asarray(s, dtype=float)
     except (TypeError, ValueError):
+        counts = np.array(math.nan)
+    if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
         raise ConfigError(f"{name}: expected whole numbers, got {s!r}")
-    _bounded(s.max(initial=0), MAX_COUNT, name)
-    _bounded(s.sum() if s.ndim else s * n_points, MAX_COUNT, f"{name} summed over the points")
+    _bounded(counts.max(initial=0), MAX_COUNT, name)
+    _bounded(counts.sum() if counts.ndim else counts * n_points, MAX_COUNT,
+             f"{name} summed over the points")
+
+
+def _term_count(value, n_nodes: int, name: str) -> int:
+    """A spectrum's eigenvalue count: 1 <= p <= n_nodes / 10."""
+    P = _bounded(value, MAX_NODES, name)
+    if P < 1 or 10 * P > n_nodes:
+        raise ConfigError(f"{name}: need 1 <= p <= {n_nodes // 10} for {n_nodes} nodes")
+    return P
 
 
 @dataclass(frozen=True)
@@ -197,13 +216,14 @@ def _cmd_spectrum(cfg: dict | None, seed: int, out: Path) -> list[str]:
     _check_keys(cfg, {"kernel", "measure", "p"}, {"nodes_table"}, "spectrum")
     spec = _parse_kernel(cfg["kernel"], "spectrum.kernel")
     quad = _parse_measure(cfg["measure"], "spectrum.measure")
-    P = int(cfg["p"])
-    if P < 1 or 10 * P > len(quad):
-        raise ConfigError(f"spectrum.p: need 1 <= p <= {len(quad) // 10} for {len(quad)} nodes")
-    s = nystrom_spectrum(spec, quad, P)
+    P = _term_count(cfg["p"], len(quad), "spectrum.p")
+    nodes_table = cfg.get("nodes_table", False)
+    if not isinstance(nodes_table, bool):
+        raise ConfigError(f"spectrum.nodes_table: expected true or false, got {nodes_table!r}")
+    s = nystrom_spectrum(spec, quad, P, table=nodes_table)
     outputs = ["spectrum.csv"]
     nodes_path = None
-    if cfg.get("nodes_table"):
+    if nodes_table:
         nodes_path = out / "spectrum_nodes.csv"
         outputs.append("spectrum_nodes.csv")
     save_spectrum_csv(s, out / "spectrum.csv", nodes_path)
@@ -239,18 +259,19 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
     theory_cfg = cfg.get("theory", {})
     if theory_cfg is not False:
         _check_keys(theory_cfg, set(), {"spectrum_m", "p"}, "curve.theory")
-        m1 = int(theory_cfg.get("spectrum_m", 2000 if spec.dim == 1 else 45))
+        m1 = _bounded(theory_cfg.get("spectrum_m", 2000 if spec.dim == 1 else 45),
+                      MAX_NODES, "curve.theory.spectrum_m")
         _bounded(m1**spec.dim, MAX_NODES, "curve.theory.spectrum_m node count")
         if spec.dim == 1:
             sq = Quadrature.trapezoid(m1, 0.0, 1.0)
         else:
             sq = Quadrature.tensor_trapezoid([m1] * spec.dim, [(0.0, 1.0)] * spec.dim)
+        P = _term_count(theory_cfg.get("p", min(200, len(sq) // 10)), len(sq), "curve.theory.p")
     mean, stderr = empirical_learning_curve(spec, n, taus, n_designs, seed, quadrature=quad)
     if theory_cfg is False:
         theory = np.full_like(mean, math.nan)
     else:
-        P = int(theory_cfg.get("p", min(200, len(sq) // 10)))
-        s = nystrom_spectrum(spec, sq, P)
+        s = nystrom_spectrum(spec, sq, P, table=False)
         theory = np.array([asymptotic_imse(s, t) for t in taus])
     _write_curve_csv(out / "curve.csv", inv_tau, mean, stderr, theory)
     return ["curve.csv"]

@@ -249,7 +249,8 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
             spec, cfg["n"], taus, cfg["n_designs"],
             seed=ss.generate_state(1)[0], quadrature=quad,
         )
-        sp = nystrom_spectrum(spec, Quadrature.trapezoid(cfg["spectrum_m"], 0.0, 1.0), cfg["spectrum_p"])
+        sp = nystrom_spectrum(spec, Quadrature.trapezoid(cfg["spectrum_m"], 0.0, 1.0),
+                              cfg["spectrum_p"], table=False)
         theory = np.array([asymptotic_imse(sp, t) for t in taus])
         name = f"figure1_h{h}.csv"
         _write_curve_csv(out / name, inv_tau, mean, stderr, theory)

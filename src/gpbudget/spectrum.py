@@ -73,12 +73,16 @@ class Spectrum:
         return float(self.eigenvalues.sum() + self.residual_trace)
 
 
-def nystrom_spectrum(spec: KernelSpec, measure: Quadrature, P: int) -> Spectrum:
+def nystrom_spectrum(spec: KernelSpec, measure: Quadrature, P: int, table: bool = True) -> Spectrum:
     """Top-P eigenpairs of the kernel integral operator under ``measure``.
 
     Requires at least 10 nodes per requested eigenvalue; negative
     round-off eigenvalues are clipped to zero, with the clipped mass
-    folded into ``residual_trace``.
+    folded into ``residual_trace``.  With ``table=False`` only the
+    eigenvalues are computed (no eigenvector back-transformation, about
+    half the cost of the full ``eigh``) and the spectrum carries no
+    nodes, weights or eigenfunction table: enough for the dense-design
+    IMSE limit, not for evaluating eigenfunctions.
     """
     m = len(measure)
     if P < 1:
@@ -93,17 +97,21 @@ def nystrom_spectrum(spec: KernelSpec, measure: Quadrature, P: int) -> Spectrum:
     K = gram_matrix(spec, measure.nodes)
     sw = np.sqrt(w)
     B = sw[:, None] * K * sw[None, :]
-    lam_all, U = eigh(B)
+    if table:
+        lam_all, U = eigh(B)
+    else:
+        lam_all = eigh(B, eigvals_only=True)
     order = np.argsort(lam_all)[::-1]
     lam = np.clip(lam_all[order[:P]], 0.0, None)
+    residual = float(w @ np.diag(K)) - float(lam.sum())
+    if not table:
+        return Spectrum(eigenvalues=lam, residual_trace=residual)
     phi = U[:, order[:P]] / sw[:, None]
     # pin the arbitrary sign: largest-magnitude node value positive
     for p in range(P):
         j = int(np.argmax(np.abs(phi[:, p])))
         if phi[j, p] < 0:
             phi[:, p] = -phi[:, p]
-    trace = float(w @ np.diag(K))
-    residual = trace - float(lam.sum())
     return Spectrum(
         eigenvalues=lam,
         nodes=measure.nodes,

@@ -144,8 +144,23 @@ class TestSpectrumCommand:
         assert rc == 2
         assert "spectrum.kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["no", "false", 1, 0, None])
+    def test_nodes_table_must_be_a_bool(self, flag, tmp_path, capsys):
+        rc, out = run_cli("spectrum", tmp_path, dict(SPECTRUM_CFG, nodes_table=flag))
+        assert rc == 2
+        assert "spectrum.nodes_table" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
+        assert not (out / "spectrum_nodes.csv").exists()
+
 
 class TestCurveCommand:
+    def test_too_many_theory_terms_rejected(self, tmp_path, capsys):
+        cfg = dict(CURVE_CFG, theory={"spectrum_m": 200, "p": 21})
+        rc, out = run_cli("curve", tmp_path, cfg)
+        assert rc == 2
+        assert "curve.theory.p: need 1 <= p <= 20" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
     def test_explicit_tau_values(self, tmp_path):
         cfg = {
             "kernel": {"family": "brownian"},
@@ -501,6 +516,9 @@ BIG = 10**12
     pytest.param("curve", dict(CURVE_CFG, kernel={"family": "gaussian", "lengthscales": [0.3, 0.3]},
                                theory={"spectrum_m": 200}),
                  "curve.theory.spectrum_m", id="curve-spectrum_m-2d"),
+    pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 200, "p": BIG}),
+                 "curve.theory.p", id="curve-theory-p"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, p=BIG), "spectrum.p", id="spectrum-p"),
     pytest.param("fit", {"n_random": BIG}, "fit.n_random", id="fit-n_random"),
     pytest.param("fit", {"n_polish": BIG}, "fit.n_polish", id="fit-n_polish"),
     pytest.param("plan", dict(PLAN_CFG, curve_points=BIG), "plan.curve_points", id="plan-curve_points"),
@@ -562,6 +580,23 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     pytest.param("figure1", {"hurst": 0.5}, "figure1.hurst", id="figure1-hurst-scalar"),
     pytest.param("figure2", {"matern": 5}, "figure2.matern", id="figure2-matern-scalar"),
     pytest.param("casestudy", {"s0": 2.5}, "casestudy.s0", id="casestudy-s0-fraction"),
+    # a size is whole and finite: never truncated, and a bool is not a count
+    pytest.param("curve", dict(CURVE_CFG, n=20.7), "curve.n", id="curve-n-fraction"),
+    pytest.param("curve", dict(CURVE_CFG, n=True), "curve.n", id="curve-n-bool"),
+    pytest.param("curve", dict(CURVE_CFG, n_designs=False), "curve.n_designs",
+                 id="curve-n_designs-bool"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, p=None), "spectrum.p", id="spectrum-p-null"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, p=2.7), "spectrum.p", id="spectrum-p-fraction"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, p=math.inf), "spectrum.p", id="spectrum-p-inf"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, p="10"), "spectrum.p", id="spectrum-p-string"),
+    pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 200, "p": None}),
+                 "curve.theory.p", id="curve-theory-p-null"),
+    pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 200, "p": 2.7}),
+                 "curve.theory.p", id="curve-theory-p-fraction"),
+    pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": None}),
+                 "curve.theory.spectrum_m", id="curve-spectrum_m-null"),
+    pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 300.5}),
+                 "curve.theory.spectrum_m", id="curve-spectrum_m-fraction"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)
@@ -615,6 +650,47 @@ class TestFigureSubcommand:
         with open(out / "run_manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["outputs"] == ["figure1_h0.5.csv", "figure1_report.json"]
+
+
+class TestEigenvectorsOnlyWhereRead:
+    """The IMSE-limit spectra ask LAPACK for eigenvalues alone; spectra
+    whose eigenfunctions are evaluated or written keep the full ``eigh``."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        import gpbudget.spectrum as spectrum
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("eigvals_only", False))
+            return real(*args, **kwargs)
+
+        real = spectrum.eigh
+        monkeypatch.setattr(spectrum, "eigh", spy)
+        return calls
+
+    FIGURE1_SMOKE = {
+        "n": 40, "n_designs": 2, "inv_tau_count": 3, "hurst": [0.5],
+        "quad_m": 200, "spectrum_m": 300, "spectrum_p": 30,
+    }
+
+    @pytest.mark.parametrize("command,cfg,eigvals_only", [
+        pytest.param("figure1", FIGURE1_SMOKE, True, id="figure1"),
+        pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 200}), True, id="curve"),
+        pytest.param("spectrum", dict(SPECTRUM_CFG, nodes_table=False), True, id="spectrum"),
+        pytest.param("spectrum", SPECTRUM_CFG, False, id="spectrum-nodes_table"),
+    ])
+    def test_cli_spectra(self, command, cfg, eigvals_only, eigh_calls, tmp_path):
+        rc, _ = run_cli(command, tmp_path, cfg)
+        assert rc == 0
+        assert eigh_calls == [eigvals_only]
+
+    def test_case_study_truth_keeps_the_eigenvectors(self, eigh_calls):
+        from gpbudget.sim_harness import SyntheticSimulator
+
+        SyntheticSimulator()._kl
+        assert eigh_calls == [False]
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -121,6 +121,33 @@ class TestNystromBasics:
             nystrom_spectrum(BROWNIAN, q, P=2)
 
 
+class TestEigenvaluesOnly:
+    """``table=False`` skips the eigenvectors; its eigenvalues and residual
+    trace must be the ones the full decomposition gives."""
+
+    @pytest.mark.parametrize("spec,q", [
+        pytest.param(BROWNIAN, Quadrature.trapezoid(300, 0.0, 1.0), id="brownian"),
+        pytest.param(KernelSpec(family="fbm", hurst=0.5), Quadrature.trapezoid(300, 0.0, 1.0),
+                     id="fbm-h0.5"),
+        pytest.param(KernelSpec(family="fbm", hurst=0.9), Quadrature.trapezoid(300, 0.0, 1.0),
+                     id="fbm-h0.9"),
+        # equal lengthscales: the products lambda_i lambda_j = lambda_j lambda_i make
+        # exactly degenerate pairs (9 among the top 22)
+        pytest.param(KernelSpec(family="matern_tensor", nu=1.5, lengthscales=(0.3, 0.3)),
+                     Quadrature.tensor_trapezoid(15, ((0.0, 1.0), (0.0, 1.0))),
+                     id="matern_tensor-2d"),
+    ])
+    def test_matches_the_full_decomposition(self, spec, q):
+        P = len(q) // 10
+        full = nystrom_spectrum(spec, q, P)
+        bare = nystrom_spectrum(spec, q, P, table=False)
+        np.testing.assert_allclose(bare.eigenvalues, full.eigenvalues, rtol=1e-12, atol=0)
+        # the residual is the trace minus the eigenvalue sum, so its round-off
+        # scales with the trace, not with the (much smaller) residual itself
+        assert bare.residual_trace == pytest.approx(full.residual_trace, abs=1e-12 * full.trace())
+        assert bare.nodes is None and bare.weights is None and bare.eigvec_table is None
+
+
 class TestBrownianAccuracy:
     def test_eigenvalues_match_ode_solution(self):
         q = Quadrature.trapezoid(800, 0.0, 1.0)
