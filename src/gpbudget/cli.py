@@ -58,6 +58,7 @@ SUBCOMMANDS = (
 # a spectrum's m x m Gram is 3.2 GB at MAX_NODES, a curve design's n x n
 # Gram 0.8 GB at MAX_POINTS; MAX_COUNT bounds repeat and grid counts, and
 # the replicates drawn at once (each count and their total over the points).
+# A budget, plan's n or a dimension sizes no array: its cap is math.inf.
 MAX_NODES = 20_000
 MAX_POINTS = 10_000
 MAX_COUNT = 1_000_000
@@ -67,7 +68,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration (exit code 2)."""
 
 
-def _bounded(value, cap: int, name: str) -> int:
+def _bounded(value, cap: float, name: str) -> int:
     """A configured size as an int, refused above ``cap``.
 
     Only a whole, finite number passes: a bool, a fraction, an infinity,
@@ -162,9 +163,10 @@ def _parse_measure(obj, context: str) -> Quadrature:
             return Quadrature.trapezoid(m, float(obj.get("lo", 0.0)), float(obj.get("hi", 1.0)))
         if kind == "tensor_trapezoid":
             bounds = obj.get("bounds") or [[0.0, 1.0]] * len(obj["m"])
-            counts = np.broadcast_to(obj["m"], len(bounds))
-            _bounded(math.prod(int(k) for k in counts), MAX_NODES, "the node count")
-            return Quadrature.tensor_trapezoid(obj["m"], [tuple(b) for b in bounds])
+            # each count whole; their product, the node count, capped
+            counts = [_bounded(k, math.inf, "m") for k in np.broadcast_to(obj["m"], len(bounds)).tolist()]
+            _bounded(math.prod(counts), MAX_NODES, "the node count")
+            return Quadrature.tensor_trapezoid(counts, [tuple(b) for b in bounds])
         if kind == "explicit":
             return Quadrature(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
     except (KeyError, ValueError, TypeError) as e:
@@ -187,13 +189,9 @@ def _default_eta(box: UniformBox) -> Quadrature:
 
 def _parse_rate(obj, context: str):
     _check_keys(obj, {"family"}, {"nu", "hurst", "d"}, context)
+    d = _bounded(obj.get("d", 1), math.inf, f"{context}.d")
     try:
-        return rate_law(
-            obj["family"],
-            nu=obj.get("nu"),
-            hurst=obj.get("hurst"),
-            d=int(obj.get("d", 1)),
-        )
+        return rate_law(obj["family"], nu=obj.get("nu"), hurst=obj.get("hurst"), d=d)
     except ValueError as e:
         raise ConfigError(f"{context}: {e}")
 
@@ -321,9 +319,10 @@ def _cmd_plan(cfg: dict | None, seed: int, out: Path) -> list[str]:
         raise ConfigError(
             f"plan.target_imse: target {target} must be below the current IMSE {imse_t0}"
         )
+    T0 = _bounded(cfg["T0"], math.inf, "plan.T0")
     forecast = required_budget(
-        imse_t0, int(cfg["T0"]), float(cfg["sigma_eps2_bar"]), law, target,
-        n=int(cfg["n"]) if "n" in cfg else None,
+        imse_t0, T0, float(cfg["sigma_eps2_bar"]), law, target,
+        n=_bounded(cfg["n"], math.inf, "plan.n") if "n" in cfg else None,
         curve_points=_bounded(cfg.get("curve_points", 50), MAX_COUNT, "plan.curve_points"),
     )
     with open(out / "forecast.json", "w") as fh:
@@ -374,7 +373,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
             noise = np.full(len(points), float(noise))
     else:
         raise ConfigError("allocate: provide either points or data_csv")
-    T = int(cfg["T"])
+    T = _bounded(cfg["T"], math.inf, "allocate.T")
     if T < len(points):
         raise ConfigError(f"allocate.T: budget {T} below the number of points {len(points)}")
     if not np.all(np.isfinite(noise) & (noise > 0)):

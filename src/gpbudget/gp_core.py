@@ -124,14 +124,17 @@ class Quadrature:
     def tensor_trapezoid(cls, m_per_dim, bounds) -> "Quadrature":
         """Tensor-product trapezoidal grid over an axis-aligned box.
 
-        A scalar ``m_per_dim`` is broadcast across all axes of ``bounds``.
+        A scalar ``m_per_dim`` is broadcast across all axes of ``bounds``;
+        a count that is not a whole number is refused, not truncated.
         """
-        m_per_dim = [int(m) for m in np.atleast_1d(m_per_dim)]
+        m_per_dim = np.atleast_1d(m_per_dim).tolist()
+        if not all(float(m).is_integer() for m in m_per_dim):
+            raise ValueError(f"node counts must be whole numbers, got {m_per_dim}")
         if len(m_per_dim) == 1:
             m_per_dim = m_per_dim * len(bounds)
         axes, wts = [], []
         for m, (lo, hi) in zip(m_per_dim, bounds, strict=True):
-            q = cls.trapezoid(m, lo, hi)
+            q = cls.trapezoid(int(m), lo, hi)
             axes.append(q.nodes.ravel())
             wts.append(q.weights)
         grids = np.meshgrid(*axes, indexing="ij")
@@ -254,11 +257,17 @@ class Predictor:
             object.__setattr__(self, name, arr)
 
 
-def _factor_with_jitter(A: np.ndarray, force_jitter: bool) -> tuple[np.ndarray, float]:
-    A = np.asarray_chkfinite(A)
+def _factor_with_jitter(K: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of A = K + diag(noise) and the jitter added to A.
+
+    A jitter of 1e-10 * trace(A)/n is added whenever some noise entry is
+    exactly zero; on failure one retry at 1e-8 scale is made before
+    raising SingularCovarianceError.
+    """
+    A = np.asarray_chkfinite(K + np.diag(noise))
     n = len(A)
     base = np.trace(A) / n
-    scales = _JITTER_SCALES if force_jitter else (0.0,) + tuple(_JITTER_SCALES[1:])
+    scales = _JITTER_SCALES if np.min(noise) == 0 else (0.0,) + tuple(_JITTER_SCALES[1:])
     for scale in scales:
         L, info = dpotrf(A + scale * base * np.eye(n), lower=1, clean=1)
         if info == 0:
@@ -270,17 +279,10 @@ def _factor_with_jitter(A: np.ndarray, force_jitter: bool) -> tuple[np.ndarray, 
 
 
 def fit_blup(kernel: KernelSpec, design: Design, obs: ObservationSet, mean: float = 0.0) -> Predictor:
-    """Factorize K + Delta and precompute the prediction weights.
-
-    A diagonal jitter of 1e-10 * trace(K)/n is added whenever some noise
-    entry is exactly zero; on factorization failure one retry at 1e-8
-    scale is made before raising SingularCovarianceError.
-    """
+    """Factorize K + Delta with ``_factor_with_jitter``; precompute the prediction weights."""
     if len(obs) != design.n:
         raise ValueError("observation count does not match design size")
-    K = gram_matrix(kernel, design.points)
-    A = K + np.diag(obs.noise_var)
-    L, jitter = _factor_with_jitter(A, force_jitter=float(np.min(obs.noise_var)) == 0.0)
+    L, jitter = _factor_with_jitter(gram_matrix(kernel, design.points), obs.noise_var)
     resid = obs.means - mean
     w = cho_solve((L, True), resid)
     return Predictor(
@@ -310,7 +312,9 @@ def predict_mean(p: Predictor, x):
 
 def _pointwise_mse(L: np.ndarray, Kx: np.ndarray, kx: np.ndarray) -> np.ndarray:
     """k(x, x) - k(x)' (L L')^{-1} k(x) for each row of Kx, clamped at zero."""
-    V = solve_triangular(L, Kx.T, lower=True)
+    # _factor_with_jitter's asarray_chkfinite has checked L, and _as_points
+    # the coordinates that Kx is built from
+    V = solve_triangular(L, Kx.T, lower=True, check_finite=False)
     return np.maximum(kx - np.einsum("ij,ij->j", V, V), 0.0)
 
 
@@ -369,7 +373,7 @@ class ImseOperator:
             raise ValueError("noise vector length must match the number of points")
         if not np.all(np.isfinite(delta) & (delta >= 0)):
             raise ValueError("noise variances must be finite and >= 0")
-        L, _ = _factor_with_jitter(self.K + np.diag(delta), force_jitter=float(delta.min()) == 0.0)
+        L, _ = _factor_with_jitter(self.K, delta)
         return float(self.quadrature.weights @ _pointwise_mse(L, self.Kq, self.kq))
 
     @cached_property

@@ -3,7 +3,7 @@
 Each family's formula is written once.  The stationary families
 (``matern1d``, ``matern_tensor``, ``gaussian``, ``exponential``,
 ``triangular``) are unit-variance correlations times ``variance``: a term
-of each axis's scaled difference d = (x_j - y_j) / l_j (``_axis_term``)
+of each axis's scaled distance r = |x_j - y_j| / l_j (``_axis_term``)
 combined over the axes (``_stationary``).  The one-dimensional families
 are a broadcasting k(a, b) of two coordinates (``_coordinate_kernel``).
 ``fbm`` uses the form
@@ -14,9 +14,10 @@ which is *twice* the conventional fractional-Brownian covariance; with
 H = 1/2 it reduces to 2*min(x, y).  ``brownian`` is the plain min(x, y)
 kernel.  ``finite_rank`` builds degenerate kernels from an explicit list
 of (weight, basis id) terms with cosine or Legendre bases orthonormal for
-the uniform measure on [0, 1].  ``cross_matrix`` feeds the stationary
-evaluator per-axis tables of distinct coordinates, ``gram_matrix`` the
-condensed upper triangle.
+the uniform measure on [0, 1].  The stationary families take every
+|x_j - y_j| from ``scipy.spatial.distance``: ``cross_matrix`` per-axis
+``cdist`` tables of distinct coordinates, ``gram_matrix`` the per-axis
+``pdist`` condensed upper triangle, which ``squareform`` mirrors.
 
 Matern at nu = 1/2, 3/2, 5/2 has closed forms.  Any other nu needs the
 Bessel factor 2^{1-nu}/Gamma(nu) u^nu K_mu(u) (mu = nu for the
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import eval_legendre, gammaln, kv
 
 FAMILIES = (
@@ -312,16 +314,16 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
-def _axis_term(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
-    """One axis's term of a stationary family at scaled difference d = (x_j - y_j) / l_j."""
+def _axis_term(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """One axis's term of a stationary family at scaled distance r = |x_j - y_j| / l_j >= 0."""
     fam = spec.family
     if fam == "gaussian":
-        return d * d
+        return r * r
     if fam == "exponential":
-        return np.abs(d)
+        return r
     if fam == "triangular":
-        return np.maximum(0.0, 1.0 - np.abs(d))
-    return _matern_corr(np.abs(d), spec.nu)
+        return np.maximum(0.0, 1.0 - r)
+    return _matern_corr(r, spec.nu)
 
 
 def _stationary(spec: KernelSpec, terms) -> np.ndarray:
@@ -350,17 +352,6 @@ def _coordinate_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.nda
     return spec.variance * out
 
 
-def _square_from_triangle(upper: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from its condensed strict upper triangle (row-major) and diagonal."""
-    n = len(diag)
-    rows, cols = np.triu_indices(n, k=1)
-    K = np.empty((n, n))
-    K[rows, cols] = upper
-    K[cols, rows] = upper
-    K[np.diag_indices(n)] = diag
-    return K
-
-
 def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     """Covariance matrix k(x_i, y_j) for two point sets, shape (n, m)."""
     X = _as_points(x, spec.dim)
@@ -374,7 +365,7 @@ def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
         for j, l in enumerate(spec.lengthscales):
             xu, xi = np.unique(X[:, j], return_inverse=True)
             yu, yi = np.unique(Y[:, j], return_inverse=True)
-            table = _axis_term(spec, (xu[:, None] - yu[None, :]) / l)
+            table = _axis_term(spec, cdist(xu[:, None], yu[:, None], "cityblock") / l)
             yield table[xi[:, None], yi[None, :]]
 
     return _stationary(spec, gathered_terms())
@@ -393,17 +384,18 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
 
     A one-dimensional family evaluates its broadcasting formula on the
     whole square, whose terms commute, so the result is exactly symmetric.
-    A stationary family evaluates only the strict upper triangle and
-    mirrors it around a ``kernel_diag`` diagonal.
+    A stationary family evaluates only the condensed strict upper
+    triangle (``pdist`` order) and ``squareform`` mirrors it around a
+    ``kernel_diag`` diagonal.
     """
     X = _as_points(points, spec.dim)
     if len(X) == 0:
         raise ValueError("gram_matrix requires at least one point")
     if spec.family in _ONE_D_FAMILIES:
         return _coordinate_kernel(spec, X[:, 0][:, None], X[:, 0][None, :])
-    rows, cols = np.triu_indices(len(X), k=1)
-    upper = _stationary(spec, (
-        _axis_term(spec, (X[rows, j] - X[cols, j]) / l)
+    K = squareform(_stationary(spec, (
+        _axis_term(spec, pdist(X[:, [j]], "cityblock") / l)
         for j, l in enumerate(spec.lengthscales)
-    ))
-    return _square_from_triangle(upper, kernel_diag(spec, X))
+    )))
+    np.fill_diagonal(K, kernel_diag(spec, X))
+    return K

@@ -27,9 +27,10 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
+from scipy.spatial.distance import pdist, squareform
 
 from .gp_core import Design, ObservationSet
-from .kernels import _matern_corr, _matern_corr_dtheta, _square_from_triangle
+from .kernels import _matern_corr, _matern_corr_dtheta
 from .learning_curve import RateLaw
 
 DEFAULT_N_RANDOM = 10000
@@ -102,19 +103,19 @@ def estimate_noise(obs: ObservationSet) -> tuple[np.ndarray, float]:
     return per_point, float(per_point.mean())
 
 
-def _axis_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Upper-triangle index pairs and the condensed |dx| along each axis."""
-    rows, cols = np.triu_indices(len(points), k=1)
-    return rows, cols, [np.abs(points[rows, j] - points[cols, j]) for j in range(points.shape[1])]
+def _axis_distances(points: np.ndarray) -> list[np.ndarray]:
+    """The condensed |dx| along each axis, in ``pdist`` order."""
+    return [pdist(points[:, [j]], "cityblock") for j in range(points.shape[1])]
 
 
-def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, gradient: bool = False):
+def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bool = False):
     """Concentrated log-likelihood at params = (nu, theta_1..theta_d, sigma2).
 
-    ``pairs`` is ``_axis_distances`` of the design.  The correlation matrix
-    is assembled by ``gram_matrix``'s own helper, so the value is bitwise
-    the one a freshly built Matern kernel gives.  Both axes read the Bessel
-    factor from one cached table for nu (``kernels._bessel_table``); the
+    ``dists`` is ``_axis_distances`` of the design.  The correlation matrix
+    is mirrored from the same ``pdist`` triangle by the same ``squareform``
+    as in ``gram_matrix``, so the value is bitwise the one a freshly built
+    ``matern_tensor`` kernel of variance sigma2 gives.  Both axes read the
+    Bessel factor from one cached table for nu (``kernels._bessel_table``); the
     gradient adds one for nu - 1 and one for each of nu +- h, so a
     general-nu evaluation costs a few hundred ``kv`` calls, not one per
     entry.  With ``gradient`` the result is (value, gradient), from the one
@@ -123,13 +124,12 @@ def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, gradient: bo
     central difference of the correlation at h = ``_FD_REL_STEP`` * nu.
     """
     params = np.asarray(params, dtype=float)
-    rows, cols, dists = pairs
     nu, theta, sigma2 = float(params[0]), params[1:-1], float(params[-1])
     n = len(resid)
     scaled = [dj / float(t) for dj, t in zip(dists, theta)]
     factors = [_matern_corr(rj, nu) for rj in scaled]
     corr = reduce(np.multiply, factors)
-    C = sigma2 * _square_from_triangle(corr, np.ones(n)) + noise * np.eye(n)
+    C = sigma2 * (squareform(corr) + np.eye(n)) + noise * np.eye(n)
     c, low = cho_factor(C, lower=True)
     alpha = cho_solve((c, low), resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
@@ -138,7 +138,8 @@ def _log_likelihood(params, pairs, resid: np.ndarray, noise: float, gradient: bo
         return value
 
     W = np.outer(alpha, alpha) - cho_solve((c, low), np.eye(n))
-    w = W[rows, cols]
+    # the strict upper triangle, unchecked: W is symmetric only to rounding
+    w = squareform(W, checks=False)
     # dC/dnu and dC/dtheta_j have a zero diagonal (the correlation is 1 at
     # r = 0 for every nu), so their trace terms are sums over i < k
     h = _FD_REL_STEP * nu
@@ -226,7 +227,7 @@ def fit_hyperparameters(
     hi = np.array([b[1] for b in bounds])
     _check_inputs(lo, design, z, noise)
     r = z - m
-    pairs = _axis_distances(design.points)
+    dists = _axis_distances(design.points)
     n_evals = n_failed = 0
 
     def evaluate(loglik, *args):
@@ -245,7 +246,7 @@ def fit_hyperparameters(
         return np.inf if value is None else -value
 
     def polish_objective(params):
-        out = evaluate(_log_likelihood, params, pairs, r, noise, True)
+        out = evaluate(_log_likelihood, params, dists, r, noise, True)
         if out is None:
             return np.inf, np.zeros(len(params))
         return -out[0], -out[1]

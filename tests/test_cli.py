@@ -597,6 +597,15 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
                  "curve.theory.spectrum_m", id="curve-spectrum_m-null"),
     pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 300.5}),
                  "curve.theory.spectrum_m", id="curve-spectrum_m-fraction"),
+    # budgets, design sizes and dimensions: whole numbers, never truncated
+    pytest.param("allocate", dict(ALLOCATE_CFG, T=12.9), "allocate.T", id="allocate-T-fraction"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, T=None), "allocate.T", id="allocate-T-null"),
+    pytest.param("plan", dict(PLAN_CFG, T0=100.5), "plan.T0", id="plan-T0-fraction"),
+    pytest.param("plan", dict(PLAN_CFG, n=True), "plan.n", id="plan-n-bool"),
+    pytest.param("plan", dict(PLAN_CFG, rate=dict(PLAN_CFG["rate"], d=2.5)), "plan.rate.d",
+                 id="plan-rate-d-fraction"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [10.5]}),
+                 "allocate.eta: m", id="allocate-eta-tensor-fraction"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)

@@ -56,6 +56,14 @@ class TestQuadrature:
         assert q.nodes.shape == (12, 2)
         assert q.weights.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("m", [[10.5, 3], 10.5, [3, math.nan], [3, math.inf]],
+                             ids=["fraction", "scalar-fraction", "nan", "inf"])
+    def test_tensor_grid_refuses_fractional_counts(self, m):
+        # a fractional count is refused, not truncated to fewer nodes
+        with pytest.raises(ValueError, match="whole numbers"):
+            Quadrature.tensor_trapezoid(m, ((0.0, 1.0), (0.0, 1.0)))
+        assert len(Quadrature.tensor_trapezoid([4.0, 3], ((0.0, 1.0), (0.0, 1.0)))) == 12
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             Quadrature(np.array([[0.0], [1.0]]), np.array([0.5, -0.5]))
@@ -159,7 +167,7 @@ class TestFitBlup:
 
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(SingularCovarianceError) as err:
-            _factor_with_jitter(bad, force_jitter=True)
+            _factor_with_jitter(bad, np.zeros(2))
         assert err.value.minor == 2
         assert "minor of order 2" in str(err.value)
 
@@ -172,15 +180,16 @@ class TestFitBlup:
 
         from gpbudget.gp_core import _factor_with_jitter
 
+        noise = np.full(4, 0.1)
         with pytest.raises(SingularCovarianceError) as err:
-            _factor_with_jitter(bad, force_jitter=False)
-        assert err.value.minor == dpotrf(bad)[1] == minor
+            _factor_with_jitter(bad, noise)
+        assert err.value.minor == dpotrf(bad + np.diag(noise))[1] == minor
 
     def test_non_finite_matrix_rejected(self):
         from gpbudget.gp_core import _factor_with_jitter
 
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _factor_with_jitter(np.array([[1.0, np.nan], [np.nan, 1.0]]), force_jitter=False)
+            _factor_with_jitter(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.full(2, 0.1))
 
     def test_jitter_applied_only_when_noise_floor_is_zero(self):
         design = Design(np.array([[0.2], [0.8]]))

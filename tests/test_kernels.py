@@ -232,6 +232,11 @@ def _repeated_design(dim):
     return np.vstack([X, X[:1], np.random.default_rng(9).uniform(size=(6, dim))])
 
 
+def _distinct_design(dim):
+    """Points whose coordinates are all distinct, on every axis."""
+    return np.random.default_rng(10).uniform(size=(31, dim))
+
+
 class TestGramMatrix:
     def test_symmetric_psd_collinear(self):
         spec = KernelSpec(family="exponential")
@@ -268,10 +273,13 @@ class TestGramMatrix:
         assert np.array_equal(kernel_diag(spec, X), np.diag(cross_matrix(spec, X, X)))
         assert np.array_equal(kernel_diag(spec, X), np.diag(gram_matrix(spec, X)))
 
-    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
-    def test_gram_matches_cross(self, spec):
+    @pytest.mark.parametrize("spec, design", [
+        *(pytest.param(s, _repeated_design, id=s.family) for s in EVERY_FAMILY),
+        *(pytest.param(s, _distinct_design, id=f"{s.family}-distinct") for s in EVERY_FAMILY),
+    ])
+    def test_gram_matches_cross(self, spec, design):
         # the condensed-triangle and distinct-coordinate-table paths agree bitwise
-        X = _repeated_design(spec.dim)
+        X = design(spec.dim)
         assert np.array_equal(gram_matrix(spec, X), cross_matrix(spec, X, X))
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma, kv
 
 from gpbudget import planner
@@ -204,6 +204,22 @@ class TestLikelihoodGradient:
         for p in rng.uniform(lo, hi, size=(20, 4)):
             polished, _ = _log_likelihood(p, pairs, z - self.MEAN, self.NOISE, True)
             assert polished == concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
+
+    def test_value_is_the_gram_matrix_likelihood(self, data):
+        # the likelihood's correlation matrix is bitwise the public Gram matrix's
+        design, z = data
+        r = z - self.MEAN
+        rng = np.random.default_rng(13)
+        lo, hi = np.array(default_bounds(2)).T
+        for p in rng.uniform(lo, hi, size=(30, 4)):
+            spec = KernelSpec(family="matern_tensor", nu=p[0], lengthscales=tuple(p[1:3]),
+                              variance=p[3])
+            C = gram_matrix(spec, design.points) + self.NOISE * np.eye(len(z))
+            c, low = cho_factor(C, lower=True)
+            alpha = cho_solve((c, low), r)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+            want = float(-0.5 * np.dot(r, alpha) - 0.5 * logdet)
+            assert concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE) == want
 
 
 class TestFitHyperparameters:
