@@ -16,18 +16,15 @@ from .gp_core import (
     Quadrature,
     SingularCovarianceError,
     UniformBox,
-    empirical_mse,
     fit_blup,
     integrated_mse,
     load_observations_csv,
-    max_squared_error,
     predict_mean,
     predict_mse,
     save_observations_csv,
 )
 from .spectrum import (
     Spectrum,
-    analytic_eigenvalue,
     nystrom_spectrum,
     save_spectrum_csv,
 )
@@ -75,11 +72,10 @@ __version__ = "0.1.0"
 __all__ = [
     "KernelSpec", "cross_matrix", "gram_matrix", "kernel_diag",
     "Design", "ImseOperator", "ObservationSet", "Predictor", "Quadrature",
-    "SingularCovarianceError", "UniformBox", "empirical_mse", "fit_blup",
-    "integrated_mse", "load_observations_csv", "max_squared_error",
+    "SingularCovarianceError", "UniformBox", "fit_blup",
+    "integrated_mse", "load_observations_csv",
     "predict_mean", "predict_mse", "save_observations_csv",
-    "Spectrum", "analytic_eigenvalue", "nystrom_spectrum",
-    "save_spectrum_csv",
+    "Spectrum", "nystrom_spectrum", "save_spectrum_csv",
     "RateLaw", "asymptotic_imse", "asymptotic_imse_bounds", "asymptotic_mse_at",
     "b_tau", "empirical_learning_curve", "fit_loglog_slope", "rate_law",
     "AllocationPlan", "InfeasibleBudgetError", "heteroscedastic_imse",

@@ -58,10 +58,13 @@ SUBCOMMANDS = (
 # a spectrum's m x m Gram is 3.2 GB at MAX_NODES, a curve design's n x n
 # Gram 0.8 GB at MAX_POINTS; MAX_COUNT bounds repeat and grid counts, and
 # the replicates drawn at once (each count and their total over the points).
-# A budget, plan's n or a dimension sizes no array: its cap is math.inf.
+# A budget, plan's n or a dimension sizes no array: its cap is math.inf,
+# except allocate's budget, which round_allocation splits in float64, exact
+# for whole numbers only up to MAX_BUDGET.
 MAX_NODES = 20_000
 MAX_POINTS = 10_000
 MAX_COUNT = 1_000_000
+MAX_BUDGET = 2**53
 
 
 class ConfigError(ValueError):
@@ -320,9 +323,11 @@ def _cmd_plan(cfg: dict | None, seed: int, out: Path) -> list[str]:
             f"plan.target_imse: target {target} must be below the current IMSE {imse_t0}"
         )
     T0 = _bounded(cfg["T0"], math.inf, "plan.T0")
+    n = _bounded(cfg["n"], math.inf, "plan.n") if "n" in cfg else None
+    if n is not None and n < 1:
+        raise ConfigError(f"plan.n: the design size must be >= 1, got {n}")
     forecast = required_budget(
-        imse_t0, T0, float(cfg["sigma_eps2_bar"]), law, target,
-        n=_bounded(cfg["n"], math.inf, "plan.n") if "n" in cfg else None,
+        imse_t0, T0, float(cfg["sigma_eps2_bar"]), law, target, n=n,
         curve_points=_bounded(cfg.get("curve_points", 50), MAX_COUNT, "plan.curve_points"),
     )
     with open(out / "forecast.json", "w") as fh:
@@ -373,7 +378,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
             noise = np.full(len(points), float(noise))
     else:
         raise ConfigError("allocate: provide either points or data_csv")
-    T = _bounded(cfg["T"], math.inf, "allocate.T")
+    T = _bounded(cfg["T"], MAX_BUDGET, "allocate.T")
     if T < len(points):
         raise ConfigError(f"allocate.T: budget {T} below the number of points {len(points)}")
     if not np.all(np.isfinite(noise) & (noise > 0)):

@@ -410,24 +410,6 @@ class ImseOperator:
         return self.quadrature.weights @ (self.Kq * self.Kq)
 
 
-def empirical_mse(p: Predictor, test_points, test_values) -> float:
-    """Mean squared prediction error on held-out (point, value) pairs."""
-    vals = np.asarray(test_values, dtype=float).ravel()
-    X = _as_points(test_points, p.design.dim)
-    if len(X) != len(vals) or len(vals) == 0:
-        raise ValueError("test points and values must have equal nonzero length")
-    pred = np.atleast_1d(predict_mean(p, X))
-    return float(np.mean((pred - vals) ** 2))
-
-
-def max_squared_error(p: Predictor, test_points, test_values) -> float:
-    """Largest squared prediction error over a test set."""
-    vals = np.asarray(test_values, dtype=float).ravel()
-    X = _as_points(test_points, p.design.dim)
-    pred = np.atleast_1d(predict_mean(p, X))
-    return float(np.max((pred - vals) ** 2))
-
-
 def save_observations_csv(path, points, obs: ObservationSet) -> None:
     """Write design points and averaged observations (columns x_1.., z, s, sigma_eps2)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -64,8 +64,11 @@ def rate_law(family: str, *, nu: float | None = None, hurst: float | None = None
     """Closed-form IMSE decay law for a kernel family.
 
     Matern laws require nu > 1/2 (the exponent 1 - 1/(2 nu) must be
-    positive); ``finite_rank`` is accepted as an alias of ``degenerate``.
+    positive) and every law a dimension d >= 1; ``finite_rank`` is
+    accepted as an alias of ``degenerate``.
     """
+    if d < 1:
+        raise ValueError(f"rate laws require dimension d >= 1, got {d}")
     if family == "finite_rank":
         family = "degenerate"
     if family not in _RATE_FAMILIES:

@@ -347,6 +347,8 @@ def required_budget(
     forecast carries a log-spaced (T, IMSE) curve and, when the design
     size n is given, the uniform per-point count ceil(T/n).
     """
+    if n is not None and n < 1:
+        raise ValueError(f"design size n must be >= 1, got {n}")
     if target <= 0:
         raise ValueError("target_imse must be positive")
     if target >= imse_T0:

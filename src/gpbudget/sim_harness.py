@@ -21,6 +21,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.stats import qmc, spearmanr
 
 from .allocation import plan_allocation, heteroscedastic_imse, round_allocation, save_plan_csv
@@ -29,14 +30,12 @@ from .gp_core import (
     ObservationSet,
     Quadrature,
     UniformBox,
-    empirical_mse,
-    fit_blup,
-    max_squared_error,
     save_observations_csv,
     _FLOAT_FMT,
+    _factor_with_jitter,
     _whole_counts,
 )
-from .kernels import KernelSpec, _as_points
+from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points
 from .learning_curve import (
     asymptotic_imse,
     empirical_learning_curve,
@@ -138,15 +137,19 @@ def sample_observations(sim: SyntheticSimulator, design: Design, s, seed) -> Obs
     Each point gets its own spawned random stream, so changing one
     point's replicate count leaves the draws at other points untouched.
     """
-    n = design.n
+    return _draw(sim.truth_values(design.points), sim.noise_variance(design.points), s, seed)
+
+
+def _draw(truth: np.ndarray, var: np.ndarray, s, seed) -> ObservationSet:
+    """``s`` replicates around each ``truth`` value with noise variance ``var``,
+    one spawned stream per point (the draw behind ``sample_observations``)."""
+    n = len(truth)
     s_arr = _whole_counts(s)
     s = np.full(n, int(s_arr)) if s_arr.ndim == 0 else s_arr.ravel()
     if len(s) != n or np.any(s < 1):
         raise ValueError("replicate counts must match the design and be >= 1")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(n)
-    truth = sim.truth_values(design.points)
-    var = sim.noise_variance(design.points)
     reps = []
     noise_var = np.empty(n)
     for i in range(n):
@@ -371,7 +374,10 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     reaching a target accuracy, which is compared with the budget
     actually needed on fresh data; finally a uniform and an optimal
     replication allocation of the predicted budget are compared on a
-    held-out test grid.
+    held-out test grid.  The truth and noise variances at the design, its
+    Gram matrix and its cross matrix to the test grid are built once and
+    shared by every draw and predictor on the design: the pilot, each
+    step of the budget scan and both allocations.
     """
     cfg = _merge_config(CASE_STUDY_DEFAULTS, config, "casestudy")
     out = Path(out_dir)
@@ -388,7 +394,8 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     )
     n, s0 = cfg["n"], cfg["s0"]
     design = latin_hypercube_design(n, 2, ss_design)
-    obs0 = sample_observations(sim, design, s0, ss_obs0)
+    truth, var = sim.truth_values(design.points), sim.noise_variance(design.points)
+    obs0 = _draw(truth, var, s0, ss_obs0)
     noise_pp, noise_bar = estimate_noise(obs0)
 
     fit = fit_hyperparameters(
@@ -411,8 +418,17 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     test_design = Design(np.column_stack([gx.ravel(), gy.ravel()]), design.measure)
     test_values = sample_observations(sim, test_design, cfg["test_s"], ss_test).means
 
-    pred0 = fit_blup(kernel, design, obs0, mean=fit.mean)
-    emse_t0 = empirical_mse(pred0, test_design.points, test_values)
+    # every predictor below is the BLUP on the same design and kernel: its
+    # squared test errors are the ones fit_blup and predict_mean give
+    K = gram_matrix(kernel, design.points)
+    Kt = cross_matrix(kernel, test_design.points, design.points)
+
+    def squared_errors(means, noise_var):
+        L, _ = _factor_with_jitter(K, noise_var)
+        w = cho_solve((L, True), means - fit.mean)
+        return (fit.mean + Kt @ w - test_values) ** 2
+
+    emse_t0 = float(np.mean(squared_errors(obs0.means, obs0.noise_var)))
 
     nu_for_rate = max(fit.nu, 0.51)
     law = rate_law("matern_tensor", nu=nu_for_rate, d=2)
@@ -427,13 +443,8 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     s_meas = None
     scan_rows = []
     for s in range(1, cfg["s_scan_max"] + 1):
-        obs_s = sample_observations(sim, design, s, scan_streams[s - 1])
-        pred_s = fit_blup(
-            kernel, design,
-            ObservationSet(obs_s.means, noise_pp / s, np.full(n, s)),
-            mean=fit.mean,
-        )
-        e = empirical_mse(pred_s, test_design.points, test_values)
+        obs_s = _draw(truth, var, s, scan_streams[s - 1])
+        e = float(np.mean(squared_errors(obs_s.means, noise_pp / s)))
         scan_rows.append((s, e))
         if e <= target:
             s_meas = s
@@ -449,17 +460,8 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
         ("uniform", s_uniform, plan.uniform_imse, ss_u),
         ("optimal", plan.s_int, plan.achieved_imse, ss_o),
     ):
-        obs_a = sample_observations(sim, design, s_vec, ss_run)
-        pred_a = fit_blup(
-            kernel, design,
-            ObservationSet(obs_a.means, noise_pp / s_vec, s_vec),
-            mean=fit.mean,
-        )
-        table[label] = {
-            "mse": empirical_mse(pred_a, test_design.points, test_values),
-            "maxse": max_squared_error(pred_a, test_design.points, test_values),
-            "imse_model": imse,
-        }
+        sq = squared_errors(_draw(truth, var, s_vec, ss_run).means, noise_pp / s_vec)
+        table[label] = {"mse": float(np.mean(sq)), "maxse": float(np.max(sq)), "imse_model": imse}
     rho = float(spearmanr(plan.s_int, noise_pp)[0])
 
     report = {

@@ -8,20 +8,15 @@ u_{jp} / sqrt(w_j) give eigenfunction values at the nodes, extendable to
 arbitrary points through
 
     phi_p(x) = (1/lambda_p) sum_j w_j k(x, t_j) phi_p(t_j).
-
-Closed-form large-p eigenvalue laws for the standard families live in
-``analytic_eigenvalue``.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import gamma
 
 from .gp_core import Quadrature, _FLOAT_FMT
 from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points
@@ -30,7 +25,7 @@ from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points
 @dataclass(frozen=True)
 class Spectrum:
     """Nonincreasing eigenvalues, optionally with the node data needed to
-    evaluate eigenfunctions (absent for purely analytic/truncated spectra)."""
+    evaluate eigenfunctions (absent for eigenvalue-only spectra)."""
 
     eigenvalues: np.ndarray
     nodes: np.ndarray | None = None
@@ -141,35 +136,6 @@ def eigenfunction_matrix(s: Spectrum, spec: KernelSpec, x, p_max: int | None = N
     X = _as_points(x, s.nodes.shape[1])
     Kx = cross_matrix(spec, X, s.nodes)
     return (Kx @ (s.weights[:, None] * s.eigvec_table[:, :P])) / lam[None, :]
-
-
-def analytic_eigenvalue(family: str, p: int, *, nu: float | None = None,
-                        hurst: float | None = None, d: int = 1) -> float:
-    """Closed-form large-p eigenvalue laws.
-
-    fbm: nu_H / p^(2H+1) with nu_H = sin(pi H) Gamma(2H+1) / pi^(2H+1);
-    matern1d: p^(-2 nu); matern_tensor: log(1+p)^(2(d-1)nu) / p^(2 nu);
-    gaussian: exp(-p^(1/d)).  These are asymptotic laws, not exact
-    finite-p eigenvalues.
-    """
-    if p < 1:
-        raise ValueError("analytic eigenvalue laws require p >= 1")
-    if family == "fbm":
-        if hurst is None or not 0 < hurst < 1:
-            raise ValueError("fbm law requires hurst in (0,1)")
-        nu_h = math.sin(math.pi * hurst) * gamma(2 * hurst + 1) / math.pi ** (2 * hurst + 1)
-        return nu_h / p ** (2 * hurst + 1)
-    if family == "matern1d":
-        if nu is None or nu <= 0:
-            raise ValueError("matern law requires nu > 0")
-        return p ** (-2.0 * nu)
-    if family == "matern_tensor":
-        if nu is None or nu <= 0:
-            raise ValueError("matern law requires nu > 0")
-        return math.log(1 + p) ** (2 * (d - 1) * nu) / p ** (2.0 * nu)
-    if family == "gaussian":
-        return math.exp(-(p ** (1.0 / d)))
-    raise ValueError(f"no analytic eigenvalue law for family {family!r}")
 
 
 def save_spectrum_csv(s: Spectrum, path, nodes_path=None) -> None:

@@ -361,6 +361,21 @@ class TestPlanCommand:
         assert rc == 2
         assert "plan.rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_design_size_below_one_exits_2(self, n, tmp_path, capsys):
+        rc, out = run_cli("plan", tmp_path, dict(PLAN_CFG, n=n))
+        assert rc == 2
+        assert "plan.n" in capsys.readouterr().err
+        assert not (out / "forecast.json").exists()
+        assert not (out / "run_manifest.json").exists()
+
+    def test_rate_dimension_below_one_exits_2(self, tmp_path, capsys):
+        cfg = dict(PLAN_CFG, rate={"family": "gaussian", "d": 0})
+        rc, out = run_cli("plan", tmp_path, cfg)
+        assert rc == 2
+        assert "plan.rate" in capsys.readouterr().err
+        assert not (out / "forecast.json").exists()
+
 
 ALLOCATE_CFG = {
     "kernel": {"family": "triangular", "lengthscales": [0.04]},
@@ -425,6 +440,13 @@ class TestAllocateCommand:
         rc, _ = run_cli("allocate", tmp_path, cfg)
         assert rc == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_at_float64_integer_limit_plans(self, tmp_path):
+        # the split is rounded in float64, whose whole numbers are exact to 2**53
+        rc, out = run_cli("allocate", tmp_path, dict(ALLOCATE_CFG, T=2**53))
+        assert rc == 0
+        _, rows = read_rows(out / "plan.csv")
+        assert sum(int(r[4]) for r in rows) == 2**53
 
     def test_nonpositive_noise_rejected(self, tmp_path, capsys):
         cfg = dict(ALLOCATE_CFG, sigma_eps2=[0.01, 0.0, 0.02])
@@ -505,6 +527,8 @@ BIG = 10**12
                  "allocate.eta: m", id="allocate-eta-m"),
     pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [10**6, 10**6]}),
                  "allocate.eta: the node count", id="allocate-eta-tensor"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, T=2**62), "allocate.T", id="allocate-T-2^62"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, T=2**63 - 1), "allocate.T", id="allocate-T-2^63-1"),
     pytest.param("curve", dict(CURVE_CFG, n=BIG), "curve.n", id="curve-n"),
     pytest.param("curve", dict(CURVE_CFG, n_designs=BIG), "curve.n_designs", id="curve-n_designs"),
     pytest.param("curve", dict(CURVE_CFG, inv_tau={"min": 5.0, "max": 20.0, "count": BIG}),

@@ -15,11 +15,9 @@ from gpbudget.gp_core import (
     Quadrature,
     SingularCovarianceError,
     UniformBox,
-    empirical_mse,
     fit_blup,
     integrated_mse,
     load_observations_csv,
-    max_squared_error,
     predict_mean,
     predict_mse,
     save_observations_csv,
@@ -283,25 +281,6 @@ class TestIntegratedMse:
         op = ImseOperator(M32, [[0.1], [0.5], [0.9]], Quadrature.trapezoid(50))
         with pytest.raises(ValueError, match="noise variances must be finite"):
             op.imse([bad, 0.1, 0.1])
-
-
-class TestEmpiricalMse:
-    def test_zero_on_interpolated_points(self):
-        design = Design(np.array([[0.2], [0.7]]))
-        obs = ObservationSet([1.0, 2.0], [0.0, 0.0], [1, 1])
-        pred = fit_blup(M32, design, obs)
-        assert empirical_mse(pred, design.points, obs.means) < 1e-16
-
-    def test_single_point_error_squared(self):
-        pred = _two_point_predictor()
-        val = predict_mean(pred, 0.5)
-        assert empirical_mse(pred, [[0.5]], [val + 0.3]) == pytest.approx(0.09, rel=1e-9)
-        assert max_squared_error(pred, [[0.5]], [val + 0.3]) == pytest.approx(0.09, rel=1e-9)
-
-    def test_length_mismatch(self):
-        pred = _two_point_predictor()
-        with pytest.raises(ValueError):
-            empirical_mse(pred, [[0.5]], [1.0, 2.0])
 
 
 class TestCsvRoundTrip:

@@ -127,6 +127,11 @@ class TestRateLaw:
         with pytest.raises(ValueError, match="rate law"):
             rate_law("brownian")
 
+    @pytest.mark.parametrize("family,kw", [("gaussian", {}), ("matern_tensor", {"nu": 1.5})])
+    def test_dimension_below_one_rejected(self, family, kw):
+        with pytest.raises(ValueError, match="d >= 1"):
+            rate_law(family, d=0, **kw)
+
     def test_shape_value(self):
         law = rate_law("matern_tensor", nu=1.0, d=2)
         # tau^(1/2) * log(1/tau) at tau = 0.01

@@ -377,6 +377,11 @@ class TestRequiredBudget:
         with pytest.raises(ValueError, match="positive"):
             required_budget(1e-3, 100, 3.3e-3, BENCH_RATE, 0.0)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_design_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            required_budget(1e-3, 100, 3.3e-3, BENCH_RATE, 2e-4, n=n)
+
 
 class TestRecoveryFromSimulatedData:
     def test_recovers_known_parameters_across_seeds(self):

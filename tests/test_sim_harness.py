@@ -19,7 +19,16 @@ import math
 import numpy as np
 import pytest
 
-from gpbudget.gp_core import Design, Quadrature, UniformBox
+from gpbudget.gp_core import (
+    Design,
+    ObservationSet,
+    Quadrature,
+    UniformBox,
+    fit_blup,
+    predict_mean,
+)
+from gpbudget.kernels import KernelSpec
+from gpbudget.planner import estimate_noise
 from gpbudget.sim_harness import (
     CASE_STUDY_DEFAULTS,
     FIGURE1_DEFAULTS,
@@ -536,6 +545,37 @@ class TestCaseStudyDriver:
         assert report2 == report
         a = (out / "allocation.csv").read_bytes()
         assert a == (tmp_path / "allocation.csv").read_bytes()
+
+    def test_errors_match_the_public_predictor(self, case_run):
+        # the pilot EMSE and the first scan step, redrawn and refitted
+        # through sample_observations, fit_blup and predict_mean
+        out, report = case_run
+        cfg = dict(CASE_STUDY_DEFAULTS, **CASE_SMOKE)
+        ss_design, ss_obs0, _, ss_scan, _, ss_test = np.random.SeedSequence(2026).spawn(6)
+        sim = SyntheticSimulator(
+            noise_level=cfg["noise_level"], noise_contrast=cfg["noise_contrast"], seed=2026
+        )
+        design = latin_hypercube_design(cfg["n"], 2, ss_design)
+        fit = report["fit"]
+        kernel = KernelSpec(family="matern_tensor", nu=fit["nu"],
+                            lengthscales=tuple(fit["theta"]), variance=fit["sigma2"])
+        g = np.linspace(0.0, 1.0, cfg["test_grid"])
+        gx, gy = np.meshgrid(g, g, indexing="ij")
+        test_points = np.column_stack([gx.ravel(), gy.ravel()])
+        test_design = Design(test_points, design.measure)
+        test_values = sample_observations(sim, test_design, cfg["test_s"], ss_test).means
+
+        def emse(obs):
+            pred = fit_blup(kernel, design, obs, mean=fit["mean"])
+            return float(np.mean((predict_mean(pred, test_points) - test_values) ** 2))
+
+        obs0 = sample_observations(sim, design, cfg["s0"], ss_obs0)
+        assert emse(obs0) == report["emse_T0"]
+        noise_pp, _ = estimate_noise(obs0)
+        obs1 = sample_observations(sim, design, 1, ss_scan.spawn(cfg["s_scan_max"])[0])
+        e1 = emse(ObservationSet(obs1.means, noise_pp, np.ones(cfg["n"])))
+        _, scan = _read_csv(out / "budget_scan.csv")
+        assert scan[0, 0] == 1 and scan[0, 1] == e1
 
 
 def test_case_study_defaults_are_full_size():

@@ -16,7 +16,6 @@ from gpbudget.gp_core import Quadrature
 from gpbudget.kernels import KernelSpec, cross_matrix
 from gpbudget.spectrum import (
     Spectrum,
-    analytic_eigenvalue,
     eigenfunction_matrix,
     nystrom_spectrum,
     save_spectrum_csv,
@@ -252,46 +251,6 @@ class TestTensorQuadratureSpectrum:
         assert np.max(np.abs(G - np.eye(12))) <= 1e-6
         # product structure: lambda_(0,1) = lambda_(1,0) by symmetric lengthscales
         assert s.eigenvalues[1] == pytest.approx(s.eigenvalues[2], rel=1e-6)
-
-
-class TestAnalyticLaws:
-    def test_fbm_half_hurst_matches_pinned_value(self):
-        # nu_{1/2} = sin(pi/2) Gamma(2) / pi^2 = 1/pi^2
-        val = analytic_eigenvalue("fbm", 10, hurst=0.5)
-        assert val == pytest.approx(1.0132118364233778e-3, rel=1e-12)
-
-    def test_matern_law_value(self):
-        assert analytic_eigenvalue("matern1d", 10, nu=2.5) == pytest.approx(1e-5, rel=1e-12)
-
-    def test_tensor_matern_law_value(self):
-        want = math.log(11.0) ** 5 / 10 ** 5
-        got = analytic_eigenvalue("matern_tensor", 10, nu=2.5, d=2)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_gaussian_law(self):
-        assert analytic_eigenvalue("gaussian", 8, d=3) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_law_requires_p_at_least_one(self):
-        with pytest.raises(ValueError, match="p >= 1"):
-            analytic_eigenvalue("matern1d", 0, nu=1.5)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="family"):
-            analytic_eigenvalue("brownian", 3)
-
-    def test_fbm_requires_hurst(self):
-        with pytest.raises(ValueError, match="hurst"):
-            analytic_eigenvalue("fbm", 3)
-
-    def test_laws_decrease_in_p(self):
-        for fam, kw in [
-            ("fbm", {"hurst": 0.7}),
-            ("matern1d", {"nu": 1.5}),
-            ("matern_tensor", {"nu": 1.5, "d": 2}),
-            ("gaussian", {"d": 2}),
-        ]:
-            vals = [analytic_eigenvalue(fam, p, **kw) for p in range(3, 40)]
-            assert np.all(np.diff(vals) < 0)
 
 
 class TestCsvExport:
