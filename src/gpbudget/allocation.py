@@ -16,11 +16,10 @@ determinism (descending fractional part, then original index).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-import csv
 
 import numpy as np
 
-from .gp_core import Design, ImseOperator, Quadrature, _FLOAT_FMT
+from .gp_core import Design, ImseOperator, Quadrature, _write_csv
 from .kernels import KernelSpec, kernel_diag
 
 
@@ -216,14 +215,8 @@ def plan_allocation(spec: KernelSpec, design: Design, noise, T: int, eta: Quadra
 def save_plan_csv(path, design: Design, noise, plan: AllocationPlan) -> None:
     """Write the per-point allocation table."""
     sig2 = np.asarray(noise, dtype=float).ravel()
-    d = design.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["point_index"] + [f"x_{j + 1}" for j in range(d)] + ["sigma_eps2", "s_real", "s_int"]
-        )
-        s_int = plan.s_int if plan.s_int is not None else np.full(plan.n, -1)
-        for i in range(plan.n):
-            row = [i] + [_FLOAT_FMT % v for v in design.points[i]]
-            row += [_FLOAT_FMT % sig2[i], _FLOAT_FMT % plan.s_real[i], int(s_int[i])]
-            writer.writerow(row)
+    header = ["point_index"] + [f"x_{j + 1}" for j in range(design.dim)]
+    header += ["sigma_eps2", "s_real", "s_int"]
+    s_int = plan.s_int if plan.s_int is not None else np.full(plan.n, -1)
+    columns = (design.points.tolist(), sig2.tolist(), plan.s_real.tolist(), s_int.tolist())
+    _write_csv(path, header, ([i] + x + [e, r, k] for i, (x, e, r, k) in enumerate(zip(*columns))))

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import __version__
 from .allocation import plan_allocation, save_plan_csv
-from .gp_core import Design, Quadrature, UniformBox, load_observations_csv, save_observations_csv
+from .gp_core import (
+    Design, Quadrature, UniformBox, load_observations_csv, save_observations_csv, _write_json,
+)
 from .kernels import KernelSpec, _as_points
 from .learning_curve import asymptotic_imse, empirical_learning_curve, rate_law
 from .planner import (
@@ -135,8 +137,7 @@ def _write_manifest(out: Path, name: str, config, seed: int, outputs, wall: floa
         wall_clock_s=wall,
         version=__version__,
     )
-    with open(out / "run_manifest.json", "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
+    _write_json(out / "run_manifest.json", asdict(manifest))
 
 
 def _check_keys(cfg: dict, required: set, optional: set, context: str) -> None:
@@ -302,8 +303,7 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
         n_polish=_bounded(cfg.get("n_polish", DEFAULT_N_POLISH), MAX_COUNT, "fit.n_polish"),
         mean=cfg.get("mean"),
     )
-    with open(out / "fit.json", "w") as fh:
-        json.dump(dict(fit.to_json(), noise=noise), fh, indent=2)
+    _write_json(out / "fit.json", dict(fit.to_json(), noise=noise))
     return ["fit.json"]
 
 
@@ -330,24 +330,16 @@ def _cmd_plan(cfg: dict | None, seed: int, out: Path) -> list[str]:
         imse_t0, T0, float(cfg["sigma_eps2_bar"]), law, target, n=n,
         curve_points=_bounded(cfg.get("curve_points", 50), MAX_COUNT, "plan.curve_points"),
     )
-    with open(out / "forecast.json", "w") as fh:
-        json.dump(
-            {
-                "imse_T0": forecast.imse_T0,
-                "T0": forecast.T0,
-                "sigma_eps2_bar": forecast.sigma_eps2_bar,
-                "rate": {
-                    "family": law.family,
-                    "exponent": law.exponent,
-                    "log_power": law.log_power,
-                },
-                "target_imse": forecast.target,
-                "solved_T": forecast.solved_T,
-                "s_per_point": forecast.s_per_point,
-                "curve": [[t, v] for t, v in forecast.curve],
-            },
-            fh, indent=2,
-        )
+    _write_json(out / "forecast.json", {
+        "imse_T0": forecast.imse_T0,
+        "T0": forecast.T0,
+        "sigma_eps2_bar": forecast.sigma_eps2_bar,
+        "rate": {"family": law.family, "exponent": law.exponent, "log_power": law.log_power},
+        "target_imse": forecast.target,
+        "solved_T": forecast.solved_T,
+        "s_per_point": forecast.s_per_point,
+        "curve": [[t, v] for t, v in forecast.curve],
+    })
     return ["forecast.json"]
 
 
@@ -387,17 +379,13 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     eta = _parse_measure(cfg["eta"], "allocate.eta") if "eta" in cfg else _default_eta(design.measure)
     plan = plan_allocation(spec, design, noise, T, eta)
     save_plan_csv(out / "plan.csv", design, noise, plan)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(
-            {
-                "T": T,
-                "i_star": plan.i_star,
-                "imse_optimal": plan.achieved_imse,
-                "imse_uniform": plan.uniform_imse,
-                "quasi_optimal": plan.quasi_optimal,
-            },
-            fh, indent=2,
-        )
+    _write_json(out / "summary.json", {
+        "T": T,
+        "i_star": plan.i_star,
+        "imse_optimal": plan.achieved_imse,
+        "imse_uniform": plan.uniform_imse,
+        "quasi_optimal": plan.quasi_optimal,
+    })
     return ["plan.csv", "summary.json"]
 
 
@@ -444,8 +432,7 @@ def _cmd_figure1(cfg, seed, out):
     for key in ("quad_m", "spectrum_m"):
         _bounded(c[key], MAX_NODES, f"figure1.{key}")
     report = run_figure1(out, seed, cfg)
-    with open(out / "figure1_report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(out / "figure1_report.json", report)
     return report["files"] + ["figure1_report.json"]
 
 
@@ -460,8 +447,7 @@ def _cmd_figure2(cfg, seed, out):
     _bounded(m * m, MAX_NODES, "figure2.matern.quad_m node count")
     _bounded(c["gaussian"]["quad_m"], MAX_NODES, "figure2.gaussian.quad_m")
     report = run_figure2(out, seed, cfg)
-    with open(out / "figure2_report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(out / "figure2_report.json", report)
     return report["files"] + ["figure2_report.json"]
 
 

@@ -12,11 +12,17 @@ with pointwise mean squared error
 
 and the learning-curve functional is its integral against the design
 measure, evaluated by quadrature.
+
+This module also owns the byte format of every file gpbudget writes:
+``_write_csv`` (one header row, integers bare, every other number with 17
+significant digits, so it reads back exactly) and ``_write_json`` (two-space
+indent).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import re
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -410,6 +416,22 @@ class ImseOperator:
         return self.quadrature.weights @ (self.Kq * self.Kq)
 
 
+def _write_csv(path, header, rows) -> None:
+    """One header row, then ``rows``: an int cell bare, any other with _FLOAT_FMT."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [v if isinstance(v, (int, np.integer)) else _FLOAT_FMT % v for v in row]
+            for row in rows
+        )
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+
+
 def save_observations_csv(path, points, obs: ObservationSet) -> None:
     """Write design points and averaged observations (columns x_1.., z, s, sigma_eps2)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -417,14 +439,8 @@ def save_observations_csv(path, points, obs: ObservationSet) -> None:
         raise ValueError("points and observations must have equal length")
     d = pts.shape[1]
     header = [f"x_{j + 1}" for j in range(d)] + ["z", "s", "sigma_eps2"]
-    sigma_eps2 = obs.noise_var * obs.s
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(obs)):
-            row = [_FLOAT_FMT % v for v in pts[i]]
-            row += [_FLOAT_FMT % obs.means[i], str(int(obs.s[i])), _FLOAT_FMT % sigma_eps2[i]]
-            writer.writerow(row)
+    columns = (obs.means.tolist(), obs.s.tolist(), (obs.noise_var * obs.s).tolist())
+    _write_csv(path, header, (x + [z, s, e] for x, z, s, e in zip(pts.tolist(), *columns)))
 
 
 def load_observations_csv(path) -> tuple[np.ndarray, ObservationSet]:

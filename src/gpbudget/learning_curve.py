@@ -150,14 +150,15 @@ def empirical_learning_curve(
     tau_grid,
     n_designs: int,
     seed: int,
-    measure: UniformBox | None = None,
     quadrature: Quadrature | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo learning curve: mean and standard error of the IMSE.
 
-    For each of ``n_designs`` designs drawn i.i.d. from ``measure`` the
-    IMSE is computed for every tau with homoscedastic noise n*tau; the
-    same designs are reused across the tau grid (common random numbers).
+    For each of ``n_designs`` designs drawn i.i.d. uniform on the unit
+    cube of dimension ``spec.dim`` the IMSE is computed for every tau with
+    homoscedastic noise n*tau; the same designs are reused across the tau
+    grid (common random numbers).  Without ``quadrature`` the IMSE is
+    integrated by a trapezoid rule of about 4000 nodes on that cube.
     Each design's tau sweep is one ``ImseOperator.imse_scaled`` call: one
     eigendecomposition of the Gram matrix, then O(n) per tau, with the
     Cholesky path of ``ImseOperator.imse`` for a tau below its
@@ -168,8 +169,7 @@ def empirical_learning_curve(
         raise ValueError("need n >= 1, a nonempty tau grid, and n_designs >= 1")
     if np.any(tau_grid <= 0):
         raise ValueError("tau values must be positive")
-    if measure is None:
-        measure = UniformBox(tuple((0.0, 1.0) for _ in range(spec.dim)))
+    measure = UniformBox(tuple((0.0, 1.0) for _ in range(spec.dim)))
     if quadrature is None:
         if spec.dim == 1:
             quadrature = Quadrature.trapezoid(4000, *measure.bounds[0])

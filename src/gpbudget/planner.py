@@ -179,11 +179,7 @@ def concentrated_log_likelihood(params, design: Design, values, m: float, noise:
     correlation matrix.  Evaluated through a Cholesky factorization.
     """
     params, z = _check_inputs(params, design, values, noise)
-    r = z - m
-    sigma2 = float(params[-1])
-    if sigma2 == 0.0:
-        return float(-0.5 * np.dot(r, r) / noise - 0.5 * design.n * math.log(noise))
-    return _log_likelihood(params, _axis_distances(design.points), r, noise)
+    return _log_likelihood(params, _axis_distances(design.points), z - m, noise)
 
 
 def default_bounds(d: int) -> list[tuple[float, float]]:

@@ -11,8 +11,6 @@ comparison on held-out data.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
 import sys
@@ -31,9 +29,10 @@ from .gp_core import (
     Quadrature,
     UniformBox,
     save_observations_csv,
-    _FLOAT_FMT,
     _factor_with_jitter,
     _whole_counts,
+    _write_csv,
+    _write_json,
 )
 from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points
 from .learning_curve import (
@@ -104,31 +103,27 @@ class SyntheticSimulator:
         return base + phi @ coef
 
     def noise_variance(self, x) -> np.ndarray:
-        X = _as_points(x, self.dim)
+        raw = self._noise_shape(_as_points(x, self.dim))
+        return np.maximum(self.noise_level * raw / self._noise_mean, _VARIANCE_FLOOR)
+
+    def _noise_shape(self, X: np.ndarray) -> np.ndarray:
+        """The unnormalized field: exp(b u(x)) with b = log(contrast) / 2, or ones."""
         if self.noise_field == "constant":
-            raw = np.ones(len(X))
-        else:
-            b = 0.5 * math.log(self.noise_contrast)
-            if self.dim == 1:
-                u = np.sin(2 * math.pi * X[:, 0])
-            else:
-                u = np.sin(2 * math.pi * X[:, 0]) * np.cos(math.pi * X[:, 1])
-            raw = np.exp(b * u)
-        mean = self._noise_mean
-        return np.maximum(self.noise_level * raw / mean, _VARIANCE_FLOOR)
+            return np.ones(len(X))
+        u = np.sin(2 * math.pi * X[:, 0])
+        if self.dim == 2:
+            u = u * np.cos(math.pi * X[:, 1])
+        return np.exp(0.5 * math.log(self.noise_contrast) * u)
 
     @cached_property
     def _noise_mean(self) -> float:
         if self.noise_field == "constant":
             return 1.0
-        b = 0.5 * math.log(self.noise_contrast)
         if self.dim == 1:
             quad = Quadrature.trapezoid(2001)
-            u = np.sin(2 * math.pi * quad.nodes[:, 0])
         else:
             quad = Quadrature.tensor_trapezoid([81, 81], ((0.0, 1.0), (0.0, 1.0)))
-            u = np.sin(2 * math.pi * quad.nodes[:, 0]) * np.cos(math.pi * quad.nodes[:, 1])
-        return float(quad.weights @ np.exp(b * u))
+        return float(quad.weights @ self._noise_shape(quad.nodes))
 
 
 def sample_observations(sim: SyntheticSimulator, design: Design, s, seed) -> ObservationSet:
@@ -212,11 +207,8 @@ def _typed_override(default, val, name: str):
 
 
 def _write_curve_csv(path, inv_tau, mean, stderr, theory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["inv_tau", "imse_mean", "imse_stderr", "theory_value"])
-        for row in zip(inv_tau, mean, stderr, theory):
-            writer.writerow([_FLOAT_FMT % v for v in row])
+    _write_csv(path, ["inv_tau", "imse_mean", "imse_stderr", "theory_value"],
+               zip(inv_tau, mean, stderr, theory))
 
 
 FIGURE1_DEFAULTS = {
@@ -490,18 +482,9 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
 
     save_observations_csv(out / "pilot_observations.csv", design.points, obs0)
     save_plan_csv(out / "allocation.csv", design, noise_pp, plan)
-    with open(out / "budget_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "imse_predicted"])
-        for t, v in forecast.curve:
-            writer.writerow([t, _FLOAT_FMT % v])
-    with open(out / "budget_scan.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "emse"])
-        for s, e in scan_rows:
-            writer.writerow([s, _FLOAT_FMT % e])
-    with open(out / "case_study.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_csv(out / "budget_curve.csv", ["T", "imse_predicted"], forecast.curve)
+    _write_csv(out / "budget_scan.csv", ["s", "emse"], scan_rows)
+    _write_json(out / "case_study.json", report)
     report["files"] = [
         "pilot_observations.csv", "allocation.csv", "budget_curve.csv",
         "budget_scan.csv", "case_study.json",

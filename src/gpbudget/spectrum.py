@@ -12,13 +12,12 @@ arbitrary points through
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .gp_core import Quadrature, _FLOAT_FMT
+from .gp_core import Quadrature, _write_csv
 from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points
 
 
@@ -140,21 +139,10 @@ def eigenfunction_matrix(s: Spectrum, spec: KernelSpec, x, p_max: int | None = N
 
 def save_spectrum_csv(s: Spectrum, path, nodes_path=None) -> None:
     """Write eigenvalues (columns p, lambda); optionally the node table."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "lambda"])
-        for p, lam in enumerate(s.eigenvalues):
-            writer.writerow([p, _FLOAT_FMT % lam])
+    _write_csv(path, ["p", "lambda"], enumerate(s.eigenvalues.tolist()))
     if nodes_path is not None:
         _require_table(s)
-        d = s.nodes.shape[1]
-        with open(nodes_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = [f"x_{j + 1}" for j in range(d)] + ["weight"]
-            header += [f"phi_{p}" for p in range(s.n_terms)]
-            writer.writerow(header)
-            for j in range(len(s.weights)):
-                row = [_FLOAT_FMT % v for v in s.nodes[j]]
-                row.append(_FLOAT_FMT % s.weights[j])
-                row += [_FLOAT_FMT % v for v in s.eigvec_table[j]]
-                writer.writerow(row)
+        header = [f"x_{j + 1}" for j in range(s.nodes.shape[1])] + ["weight"]
+        header += [f"phi_{p}" for p in range(s.n_terms)]
+        rows = zip(s.nodes.tolist(), s.weights.tolist(), s.eigvec_table)
+        _write_csv(nodes_path, header, (x + [w] + phi.tolist() for x, w, phi in rows))

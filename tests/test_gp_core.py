@@ -1,12 +1,15 @@
 """BLUP fitting, prediction, integrated and empirical errors."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpbudget
 from gpbudget.gp_core import (
     Design,
     ImseOperator,
@@ -295,6 +298,23 @@ class TestCsvRoundTrip:
         assert np.allclose(obs2.noise_var, obs.noise_var)
         assert obs2.s.tolist() == [4, 8]
 
+    def test_averaged_layout_is_exact(self, tmp_path):
+        # 17 significant digits read back to the same doubles, s as ints
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, 1.0, (25, 3))
+        means = rng.normal(0.0, 1.0, 25) * 10.0 ** rng.integers(-300, 300, 25)
+        noise_var = rng.uniform(0.0, 1.0, 25) / 3.0
+        obs = ObservationSet(means, noise_var, rng.integers(1, 1000, 25))
+        path = tmp_path / "obs.csv"
+        save_observations_csv(path, pts, obs)
+        pts2, obs2 = load_observations_csv(path)
+        assert np.array_equal(pts2, pts)
+        assert np.array_equal(obs2.means, obs.means)
+        assert obs2.s.dtype.kind == "i" and np.array_equal(obs2.s, obs.s)
+        with open(path, newline="") as fh:
+            column = [row["sigma_eps2"] for row in csv.DictReader(fh)]
+        assert np.array(column, dtype=float).tobytes() == (obs.noise_var * obs.s).tobytes()
+
     def test_replicate_layout(self, tmp_path):
         path = tmp_path / "reps.csv"
         path.write_text("x_1,z_1,z_2\n0.25,1.0,3.0\n0.75,2.0,2.0\n")
@@ -321,3 +341,14 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError):
             load_observations_csv(path)
+
+
+def test_file_formats_live_only_in_gp_core():
+    # every CSV and JSON file is written by gp_core._write_csv/_write_json
+    owners = {}
+    for path in sorted(Path(gpbudget.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for token in ("csv.writer", "json.dump(", "_FLOAT_FMT"):
+            if token in text:
+                owners.setdefault(token, []).append(path.name)
+    assert owners == {t: ["gp_core.py"] for t in ("csv.writer", "json.dump(", "_FLOAT_FMT")}
