@@ -5,6 +5,8 @@ randomness flows from it) and --out (output directory).  Exit codes:
 0 success, 1 numerical failure, 2 configuration/usage error.  Each run
 writes a ``run_manifest.json`` recording the subcommand, a hash of the
 config, the seed, output files, wall-clock time and package version.
+Every config number is read by ``kernels._config_number``: a bool, string or
+null is never a number, a count must be whole; a misfit exits 2 naming its key.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -26,7 +27,7 @@ from .allocation import plan_allocation, save_plan_csv
 from .gp_core import (
     Design, Quadrature, UniformBox, load_observations_csv, save_observations_csv, _write_json,
 )
-from .kernels import KernelSpec, _as_points
+from .kernels import KernelSpec, _as_points, _config_number
 from .learning_curve import asymptotic_imse, empirical_learning_curve, rate_law
 from .planner import (
     DEFAULT_N_POLISH,
@@ -40,7 +41,9 @@ from .sim_harness import (
     FIGURE1_DEFAULTS,
     FIGURE2_DEFAULTS,
     SyntheticSimulator,
+    _check_keys,
     _merge_config,
+    _typed_override,
     _write_curve_csv,
     latin_hypercube_design,
     run_case_study,
@@ -74,35 +77,31 @@ class ConfigError(ValueError):
 
 
 def _bounded(value, cap: float, name: str) -> int:
-    """A configured size as an int, refused above ``cap``.
-
-    Only a whole, finite number passes: a bool, a fraction, an infinity,
-    a string or null is refused rather than truncated or counted as 1.
-    """
-    whole = not isinstance(value, (bool, np.bool_)) and (
-        isinstance(value, numbers.Integral)
-        or isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
-    )
-    if not whole:
-        raise ConfigError(f"{name}: expected a whole number, got {value!r}")
-    n = int(value)
+    """A configured size as a whole number (``_config_number``), refused above ``cap``."""
+    n = _config_number(value, name, int)
     if n > cap:
         raise ConfigError(f"{name} = {n} is above the limit of {cap}")
     return n
 
 
 def _bounded_replicates(s, n_points: int, name: str) -> None:
-    """Refuse replicate counts (one for all points, or one per point) above
-    MAX_COUNT, each or summed over the points."""
-    try:
-        counts = np.asarray(s, dtype=float)
-    except (TypeError, ValueError):
-        counts = np.array(math.nan)
-    if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
-        raise ConfigError(f"{name}: expected whole numbers, got {s!r}")
-    _bounded(counts.max(initial=0), MAX_COUNT, name)
-    _bounded(counts.sum() if counts.ndim else counts * n_points, MAX_COUNT,
-             f"{name} summed over the points")
+    """Refuse replicate counts (one for all points, or one each) above MAX_COUNT, each or summed."""
+    counts = _numbers(s, name, int, n_points)
+    _bounded(max(counts, default=0), MAX_COUNT, name)
+    _bounded(sum(counts), MAX_COUNT, f"{name} summed over the points")
+
+
+def _numbers(val, name: str, kind=float, n: int | None = None) -> list:
+    """A config list, each entry read by ``_config_number``; given ``n``, one number
+    may stand for a list of ``n`` equal entries."""
+    if n is not None and not isinstance(val, list):
+        return [_config_number(val, name, kind)] * n
+    return [_config_number(v, name, kind) for v in _typed_override([], val, name)]
+
+
+def _pairs(val, name: str) -> list[tuple]:
+    """A config list of (lo, hi) pairs of numbers."""
+    return [tuple(_numbers(b, name)) for b in _typed_override([], val, name)]
 
 
 def _term_count(value, n_nodes: int, name: str) -> int:
@@ -140,17 +139,6 @@ def _write_manifest(out: Path, name: str, config, seed: int, outputs, wall: floa
     _write_json(out / "run_manifest.json", asdict(manifest))
 
 
-def _check_keys(cfg: dict, required: set, optional: set, context: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context}: expected a JSON object")
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"{context}: missing required keys {sorted(missing)}")
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-
-
 def _parse_kernel(obj, context: str) -> KernelSpec:
     try:
         return KernelSpec.from_json(obj)
@@ -164,13 +152,14 @@ def _parse_measure(obj, context: str) -> Quadrature:
     try:
         if kind == "trapezoid":
             m = _bounded(obj["m"], MAX_NODES, "m")
-            return Quadrature.trapezoid(m, float(obj.get("lo", 0.0)), float(obj.get("hi", 1.0)))
+            lo, hi = (_config_number(obj.get(k, d), k) for k, d in (("lo", 0.0), ("hi", 1.0)))
+            return Quadrature.trapezoid(m, lo, hi)
         if kind == "tensor_trapezoid":
-            bounds = obj.get("bounds") or [[0.0, 1.0]] * len(obj["m"])
+            bounds = _pairs(obj.get("bounds") or [[0.0, 1.0]] * len(obj["m"]), "bounds")
             # each count whole; their product, the node count, capped
-            counts = [_bounded(k, math.inf, "m") for k in np.broadcast_to(obj["m"], len(bounds)).tolist()]
+            counts = np.broadcast_to(_numbers(obj["m"], "m", int, len(bounds)), len(bounds)).tolist()
             _bounded(math.prod(counts), MAX_NODES, "the node count")
-            return Quadrature.tensor_trapezoid(counts, [tuple(b) for b in bounds])
+            return Quadrature.tensor_trapezoid(counts, bounds)
         if kind == "explicit":
             return Quadrature(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
     except (KeyError, ValueError, TypeError) as e:
@@ -194,8 +183,9 @@ def _default_eta(box: UniformBox) -> Quadrature:
 def _parse_rate(obj, context: str):
     _check_keys(obj, {"family"}, {"nu", "hurst", "d"}, context)
     d = _bounded(obj.get("d", 1), math.inf, f"{context}.d")
+    nu, hurst = (_config_number(obj[k], f"{context}.{k}") if k in obj else None for k in ("nu", "hurst"))
     try:
-        return rate_law(obj["family"], nu=obj.get("nu"), hurst=obj.get("hurst"), d=d)
+        return rate_law(obj["family"], nu=nu, hurst=hurst, d=d)
     except ValueError as e:
         raise ConfigError(f"{context}: {e}")
 
@@ -219,9 +209,7 @@ def _cmd_spectrum(cfg: dict | None, seed: int, out: Path) -> list[str]:
     spec = _parse_kernel(cfg["kernel"], "spectrum.kernel")
     quad = _parse_measure(cfg["measure"], "spectrum.measure")
     P = _term_count(cfg["p"], len(quad), "spectrum.p")
-    nodes_table = cfg.get("nodes_table", False)
-    if not isinstance(nodes_table, bool):
-        raise ConfigError(f"spectrum.nodes_table: expected true or false, got {nodes_table!r}")
+    nodes_table = _typed_override(False, cfg.get("nodes_table", False), "spectrum.nodes_table")
     s = nystrom_spectrum(spec, quad, P, table=nodes_table)
     outputs = ["spectrum.csv"]
     nodes_path = None
@@ -234,14 +222,17 @@ def _cmd_spectrum(cfg: dict | None, seed: int, out: Path) -> list[str]:
 
 def _inv_tau_from_cfg(cfg: dict, context: str) -> np.ndarray:
     if "tau_values" in cfg:
-        taus = np.asarray(cfg["tau_values"], dtype=float)
+        if "inv_tau" in cfg:
+            raise ConfigError(f"{context}.tau_values and {context}.inv_tau: give one of them, not both")
+        taus = np.asarray(_numbers(cfg["tau_values"], f"{context}.tau_values"))
         if np.any(taus <= 0):
             raise ConfigError(f"{context}: tau values must be positive")
         return 1.0 / taus
     grid = cfg.get("inv_tau", {"min": 5.0, "max": 100.0, "count": 12})
     _check_keys(grid, {"min", "max", "count"}, set(), f"{context}.inv_tau")
     count = _bounded(grid["count"], MAX_COUNT, f"{context}.inv_tau.count")
-    return np.geomspace(float(grid["min"]), float(grid["max"]), count)
+    lo, hi = (_config_number(grid[k], f"{context}.inv_tau.{k}") for k in ("min", "max"))
+    return np.geomspace(lo, hi, count)
 
 
 def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
@@ -287,22 +278,19 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
         {"noise", "bounds", "n_random", "n_polish", "mean"},
         "fit",
     )
+    noise, mean = (_config_number(cfg[k], f"fit.{k}") if k in cfg else None for k in ("noise", "mean"))
+    bounds = _pairs(cfg["bounds"], "fit.bounds") if "bounds" in cfg else None
+    n_random = _bounded(cfg.get("n_random", DEFAULT_N_RANDOM), MAX_COUNT, "fit.n_random")
+    n_polish = _bounded(cfg.get("n_polish", DEFAULT_N_POLISH), MAX_COUNT, "fit.n_polish")
     try:
         points, obs = load_observations_csv(cfg["data_csv"])
     except (OSError, ValueError) as e:
         raise ConfigError(f"fit.data_csv: {e}")
     design = Design(points, _bounding_box(points))
-    noise = float(cfg["noise"]) if "noise" in cfg else float(np.mean(obs.noise_var))
-    bounds = [tuple(b) for b in cfg["bounds"]] if "bounds" in cfg else None
-    fit = fit_hyperparameters(
-        design, obs.means,
-        noise=noise,
-        seed=seed,
-        bounds=bounds,
-        n_random=_bounded(cfg.get("n_random", DEFAULT_N_RANDOM), MAX_COUNT, "fit.n_random"),
-        n_polish=_bounded(cfg.get("n_polish", DEFAULT_N_POLISH), MAX_COUNT, "fit.n_polish"),
-        mean=cfg.get("mean"),
-    )
+    if noise is None:
+        noise = float(np.mean(obs.noise_var))
+    fit = fit_hyperparameters(design, obs.means, noise=noise, seed=seed, bounds=bounds,
+                              n_random=n_random, n_polish=n_polish, mean=mean)
     _write_json(out / "fit.json", dict(fit.to_json(), noise=noise))
     return ["fit.json"]
 
@@ -316,8 +304,8 @@ def _cmd_plan(cfg: dict | None, seed: int, out: Path) -> list[str]:
         "plan",
     )
     law = _parse_rate(cfg["rate"], "plan.rate")
-    imse_t0 = float(cfg["imse_T0"])
-    target = float(cfg["target_imse"])
+    imse_t0, target, sigma_bar = (_config_number(cfg[k], f"plan.{k}")
+                                  for k in ("imse_T0", "target_imse", "sigma_eps2_bar"))
     if target >= imse_t0:
         raise ConfigError(
             f"plan.target_imse: target {target} must be below the current IMSE {imse_t0}"
@@ -327,7 +315,7 @@ def _cmd_plan(cfg: dict | None, seed: int, out: Path) -> list[str]:
     if n is not None and n < 1:
         raise ConfigError(f"plan.n: the design size must be >= 1, got {n}")
     forecast = required_budget(
-        imse_t0, T0, float(cfg["sigma_eps2_bar"]), law, target, n=n,
+        imse_t0, T0, sigma_bar, law, target, n=n,
         curve_points=_bounded(cfg.get("curve_points", 50), MAX_COUNT, "plan.curve_points"),
     )
     _write_json(out / "forecast.json", {
@@ -353,6 +341,9 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     )
     spec = _parse_kernel(cfg["kernel"], "allocate.kernel")
     if "data_csv" in cfg:
+        for key in ("points", "sigma_eps2"):
+            if key in cfg:
+                raise ConfigError(f"allocate.data_csv and allocate.{key}: give one of them, not both")
         try:
             points, obs = load_observations_csv(cfg["data_csv"])
         except (OSError, ValueError) as e:
@@ -365,9 +356,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
             raise ConfigError(f"allocate.points: {e}")
         if "sigma_eps2" not in cfg:
             raise ConfigError("allocate: inline points require sigma_eps2")
-        noise = np.asarray(cfg["sigma_eps2"], dtype=float)
-        if noise.ndim == 0:
-            noise = np.full(len(points), float(noise))
+        noise = np.asarray(_numbers(cfg["sigma_eps2"], "allocate.sigma_eps2", n=len(points)))
     else:
         raise ConfigError("allocate: provide either points or data_csv")
     T = _bounded(cfg["T"], MAX_BUDGET, "allocate.T")
@@ -397,14 +386,13 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
         {"truth", "noise_field", "noise_level", "noise_contrast", "sim_seed"},
         "simulate",
     )
+    level, contrast = (_config_number(cfg.get(k, d), f"simulate.{k}")
+                       for k, d in (("noise_level", 3.3e-3), ("noise_contrast", 4.0)))
+    sim_seed = _config_number(cfg.get("sim_seed", seed), "simulate.sim_seed", int)
     try:
-        sim = SyntheticSimulator(
-            truth=cfg.get("truth", "smooth2d_kl"),
-            noise_field=cfg.get("noise_field", "smooth"),
-            noise_level=float(cfg.get("noise_level", 3.3e-3)),
-            noise_contrast=float(cfg.get("noise_contrast", 4.0)),
-            seed=int(cfg.get("sim_seed", seed)),
-        )
+        sim = SyntheticSimulator(truth=cfg.get("truth", "smooth2d_kl"),
+                                 noise_field=cfg.get("noise_field", "smooth"),
+                                 noise_level=level, noise_contrast=contrast, seed=sim_seed)
     except ValueError as e:
         raise ConfigError(f"simulate: {e}")
     dcfg = cfg["design"]
@@ -507,14 +495,11 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         outputs = _HANDLERS[args.command](config, args.seed, out)
-    except ConfigError as e:
-        print(f"gpbudget {args.command}: {e}", file=sys.stderr)
-        return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as e:
         print(f"gpbudget {args.command}: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
-        # config-shaped mistakes surfacing from module validation
+        # a ConfigError, or a config-shaped mistake surfacing from module validation
         print(f"gpbudget {args.command}: {e}", file=sys.stderr)
         return 2
     _write_manifest(out, args.command, config, args.seed, outputs,

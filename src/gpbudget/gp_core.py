@@ -153,17 +153,16 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class Design:
-    """Input locations together with the measure they were drawn from."""
+    """Input locations together with the uniform box they were drawn from."""
 
     points: np.ndarray
-    measure: object = field(default_factory=UniformBox)
+    measure: UniformBox = field(default_factory=UniformBox)
 
     def __post_init__(self):
-        dim = getattr(self.measure, "dim", None)
-        pts = _as_points(self.points, dim if dim is not None else np.atleast_2d(self.points).shape[-1])
+        pts = _as_points(self.points, self.measure.dim)
         if len(pts) < 1:
             raise ValueError("design needs at least one point")
-        if isinstance(self.measure, UniformBox) and not self.measure.contains(pts):
+        if not self.measure.contains(pts):
             raise ValueError("design points fall outside the measure's support")
         pts = pts.copy()
         pts.setflags(write=False)

@@ -34,6 +34,8 @@ directly.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -139,10 +141,12 @@ class KernelSpec:
         if unknown:
             raise ValueError(f"unknown KernelSpec fields: {sorted(unknown)}")
         kwargs = dict(obj)
-        if "lengthscales" in kwargs:
-            kwargs["lengthscales"] = tuple(kwargs["lengthscales"])
-        if "rank_terms" in kwargs:
-            kwargs["rank_terms"] = tuple((w, b) for w, b in kwargs["rank_terms"])
+        kwargs.update({k: _config_number(obj[k], k) for k in ("nu", "hurst", "variance") if k in obj})
+        if "lengthscales" in obj:
+            kwargs["lengthscales"] = tuple(_config_number(l, "lengthscales") for l in obj["lengthscales"])
+        if "rank_terms" in obj:
+            kwargs["rank_terms"] = tuple((_config_number(w, "rank_terms weight"), b)
+                                         for w, b in obj["rank_terms"])
         return cls(**kwargs)
 
 
@@ -298,6 +302,18 @@ def _basis_values(basis_id: str, x: np.ndarray) -> np.ndarray:
             return np.ones_like(x)
         return np.sqrt(2.0) * np.cos(j * np.pi * x)
     return np.sqrt(2 * j + 1.0) * eval_legendre(j, 2 * x - 1)
+
+
+def _config_number(val, name: str, kind=float):
+    """A config number as ``kind`` (float or int), or ValueError naming ``name``: a bool,
+    a string or null is never a number, an int must be whole (40.0 reads as 40, never
+    truncated) and a float finite."""
+    if not isinstance(val, bool) and isinstance(val, numbers.Real):
+        if kind is int and (isinstance(val, numbers.Integral) or float(val).is_integer()):
+            return int(val)
+        if kind is float and abs(val) <= sys.float_info.max:
+            return float(val)
+    raise ValueError(f"{name}: expected {'whole' if kind is int else 'finite'} numbers, got {val!r}")
 
 
 def _as_points(x, dim: int) -> np.ndarray:

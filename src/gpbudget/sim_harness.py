@@ -12,8 +12,6 @@ comparison on held-out data.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,7 +32,7 @@ from .gp_core import (
     _write_csv,
     _write_json,
 )
-from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points
+from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points, _config_number
 from .learning_curve import (
     asymptotic_imse,
     empirical_learning_curve,
@@ -170,6 +168,18 @@ def latin_hypercube_design(n: int, dim: int, seed, box: UniformBox | None = None
     return Design(qmc.scale(unit, lo, hi), box)
 
 
+def _check_keys(cfg, required: set, optional: set, context: str) -> None:
+    """ValueError naming ``context`` unless ``cfg`` is an object of ``required`` and ``optional`` keys."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{context}: expected a JSON object, got {cfg!r}")
+    missing = required - set(cfg)
+    if missing:
+        raise ValueError(f"{context}: missing required keys {sorted(missing)}")
+    unknown = set(cfg) - required - optional
+    if unknown:
+        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+
+
 def _merge_config(defaults: dict, overrides: dict | None, context: str) -> dict:
     """Defaults with each override in the type of its default; ValueError names a misfit.
 
@@ -178,11 +188,7 @@ def _merge_config(defaults: dict, overrides: dict | None, context: str) -> dict:
     """
     if overrides is None:
         return dict(defaults)
-    if not isinstance(overrides, dict):
-        raise ValueError(f"{context}: expected an object, got {overrides!r}")
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown {context} config keys: {sorted(unknown)}")
+    _check_keys(overrides, set(), set(defaults), context)
     out = dict(defaults)
     for key, val in overrides.items():
         out[key] = _typed_override(defaults[key], val, f"{context}.{key}")
@@ -195,15 +201,7 @@ def _typed_override(default, val, name: str):
         if not isinstance(val, type(default)):
             raise ValueError(f"{name}: expected a {type(default).__name__}, got {val!r}")
         return _merge_config(default, val, name) if isinstance(default, dict) else val
-    if isinstance(val, bool) or not isinstance(val, numbers.Real):
-        raise ValueError(f"{name}: expected a number, got {val!r}")
-    if isinstance(default, int):
-        if not (isinstance(val, numbers.Integral) or float(val).is_integer()):
-            raise ValueError(f"{name}: expected a whole number, got {val!r}")
-        return int(val)
-    if not abs(val) <= sys.float_info.max:
-        raise ValueError(f"{name}: expected a finite number, got {val!r}")
-    return float(val)
+    return _config_number(val, name, type(default))
 
 
 def _write_curve_csv(path, inv_tau, mean, stderr, theory) -> None:
@@ -235,10 +233,11 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     inv_tau = np.geomspace(cfg["inv_tau_min"], cfg["inv_tau_max"], cfg["inv_tau_count"])
     taus = 1.0 / inv_tau
-    streams = np.random.SeedSequence(seed).spawn(len(cfg["hurst"]))
+    hursts = [_config_number(h, "figure1.hurst") for h in cfg["hurst"]]
+    streams = np.random.SeedSequence(seed).spawn(len(hursts))
     report = {"files": [], "curves": {}}
-    for h, ss in zip(cfg["hurst"], streams):
-        spec = KernelSpec(family="fbm", hurst=float(h))
+    for h, ss in zip(hursts, streams):
+        spec = KernelSpec(family="fbm", hurst=h)
         quad = Quadrature.trapezoid(cfg["quad_m"], 0.0, 1.0)
         mean, stderr = empirical_learning_curve(
             spec, cfg["n"], taus, cfg["n_designs"],
@@ -251,7 +250,7 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
         _write_curve_csv(out / name, inv_tau, mean, stderr, theory)
         slope, _, r2 = fit_loglog_slope(inv_tau, mean)
         t_slope, _, _ = fit_loglog_slope(inv_tau, theory)
-        law = rate_law("fbm", hurst=float(h))
+        law = rate_law("fbm", hurst=h)
         report["files"].append(name)
         report["curves"][str(h)] = {
             "empirical_slope": slope,

@@ -518,6 +518,11 @@ CURVE_CFG = {
     "quadrature": {"type": "trapezoid", "m": 100},
 }
 BIG = 10**12
+CURVE_TAU_CFG = {k: v for k, v in CURVE_CFG.items() if k != "inv_tau"}
+OBSERVATIONS_CSV = str(Path(__file__).with_name("data") / "observations_1d.csv")
+FIT_CSV_CFG = {"data_csv": OBSERVATIONS_CSV}
+ALLOCATE_CSV_CFG = {"kernel": {"family": "brownian"}, "T": 10, "data_csv": OBSERVATIONS_CSV}
+FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spectrum_p": 10}
 
 
 @pytest.mark.parametrize("command,cfg,name", [
@@ -630,6 +635,48 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
                  id="plan-rate-d-fraction"),
     pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [10.5]}),
                  "allocate.eta: m", id="allocate-eta-tensor-fraction"),
+    # every config number, not only sizes: a bool, a string or null is refused
+    pytest.param("simulate", dict(SIM_CFG, s=True), "simulate.s", id="simulate-s-bool"),
+    pytest.param("simulate", dict(SIM_CFG, s="4"), "simulate.s", id="simulate-s-string"),
+    pytest.param("simulate", dict(SIM_CFG, sim_seed=2.7), "simulate.sim_seed",
+                 id="simulate-sim_seed-fraction"),
+    pytest.param("simulate", dict(SIM_CFG, noise_level="0.01"), "simulate.noise_level",
+                 id="simulate-noise_level-string"),
+    pytest.param("simulate", dict(SIM_CFG, noise_level=None), "simulate.noise_level",
+                 id="simulate-noise_level-null"),
+    pytest.param("plan", dict(PLAN_CFG, imse_T0=True), "plan.imse_T0", id="plan-imse_T0-bool"),
+    pytest.param("plan", dict(PLAN_CFG, imse_T0=None), "plan.imse_T0", id="plan-imse_T0-null"),
+    pytest.param("plan", dict(PLAN_CFG, sigma_eps2_bar="0.003"), "plan.sigma_eps2_bar",
+                 id="plan-sigma_eps2_bar-string"),
+    pytest.param("plan", dict(PLAN_CFG, rate=dict(PLAN_CFG["rate"], nu=True)), "plan.rate.nu",
+                 id="plan-rate-nu-bool"),
+    pytest.param("plan", dict(PLAN_CFG, rate=dict(PLAN_CFG["rate"], nu="2.5")), "plan.rate.nu",
+                 id="plan-rate-nu-string"),
+    pytest.param("curve", dict(CURVE_TAU_CFG, tau_values=["0.2", "0.1"]), "curve.tau_values",
+                 id="curve-tau_values-strings"),
+    pytest.param("curve", dict(CURVE_TAU_CFG, tau_values=0.1), "curve.tau_values",
+                 id="curve-tau_values-scalar"),
+    pytest.param("curve", dict(CURVE_CFG, inv_tau={"min": None, "max": 20.0, "count": 3}),
+                 "curve.inv_tau.min", id="curve-inv_tau-min-null"),
+    pytest.param("fit", dict(FIT_CSV_CFG, noise=None), "fit.noise", id="fit-noise-null"),
+    pytest.param("fit", dict(FIT_CSV_CFG, mean=[1]), "fit.mean", id="fit-mean-list"),
+    pytest.param("fit", dict(FIT_CSV_CFG, bounds=5), "fit.bounds", id="fit-bounds-scalar"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, sigma_eps2=True), "allocate.sigma_eps2",
+                 id="allocate-sigma_eps2-bool"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, kernel={"family": "matern1d", "nu": True}),
+                 "allocate.kernel: nu", id="allocate-kernel-nu-bool"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [50],
+                                                     "bounds": [[0.0, True]]}),
+                 "allocate.eta: bounds", id="allocate-eta-bounds-bool"),
+    pytest.param("figure1", dict(FIGURE1_SMALL, hurst=["0.9"]), "figure1.hurst",
+                 id="figure1-hurst-string"),
+    # a key that another key would override unread is refused, naming both
+    pytest.param("curve", dict(CURVE_CFG, tau_values=[0.2, 0.1]),
+                 "curve.tau_values and curve.inv_tau", id="curve-tau_values-and-inv_tau"),
+    pytest.param("allocate", dict(ALLOCATE_CSV_CFG, sigma_eps2=0.5),
+                 "allocate.data_csv and allocate.sigma_eps2", id="allocate-data_csv-and-sigma_eps2"),
+    pytest.param("allocate", dict(ALLOCATE_CSV_CFG, points=[[0.1], [0.5], [0.9]]),
+                 "allocate.data_csv and allocate.points", id="allocate-data_csv-and-points"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)

@@ -96,6 +96,20 @@ class TestKernelSpecJson:
         with pytest.raises(ValueError, match="unknown"):
             KernelSpec.from_json({"family": "gaussian", "jitter": 1e-6})
 
+    @pytest.mark.parametrize("key,val", [
+        ("nu", True), ("nu", "2.5"), ("variance", True), ("variance", "1"),
+        ("lengthscales", [True]), ("lengthscales", ["0.3"]),
+    ])
+    def test_bool_or_string_number_rejected(self, key, val):
+        obj = dict({"family": "matern1d", "nu": 2.5, "lengthscales": [0.3], "variance": 1.0}, **{key: val})
+        with pytest.raises(ValueError, match=rf"{key}: expected"):
+            KernelSpec.from_json(obj)
+
+    def test_whole_numbers_read_as_floats(self):
+        spec = KernelSpec.from_json({"family": "matern1d", "nu": 2, "lengthscales": [1], "variance": 3})
+        assert spec == KernelSpec(family="matern1d", nu=2.0, lengthscales=(1.0,), variance=3.0)
+        assert type(spec.nu) is float and type(spec.variance) is float
+
 
 class TestEvalKernel:
     def test_matern_half_closed_form(self):
