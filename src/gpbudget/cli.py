@@ -101,7 +101,10 @@ def _numbers(val, name: str, kind=float, n: int | None = None) -> list:
 
 def _pairs(val, name: str) -> list[tuple]:
     """A config list of (lo, hi) pairs of numbers."""
-    return [tuple(_numbers(b, name)) for b in _typed_override([], val, name)]
+    pairs = [tuple(_numbers(b, name)) for b in _typed_override([], val, name)]
+    if any(len(p) != 2 for p in pairs):
+        raise ConfigError(f"{name}: each entry must be a pair [lo, hi], got {val!r}")
+    return pairs
 
 
 def _term_count(value, n_nodes: int, name: str) -> int:
@@ -146,7 +149,9 @@ def _parse_kernel(obj, context: str) -> KernelSpec:
         raise ConfigError(f"{context}: {e}")
 
 
-def _parse_measure(obj, context: str) -> Quadrature:
+def _parse_measure(obj, context: str, dim: int) -> Quadrature:
+    """A config measure; a tensor grid without ``bounds`` covers the unit box of
+    ``dim`` axes."""
     _check_keys(obj, {"type"}, {"m", "lo", "hi", "bounds", "nodes", "weights"}, context)
     kind = obj["type"]
     try:
@@ -155,10 +160,11 @@ def _parse_measure(obj, context: str) -> Quadrature:
             lo, hi = (_config_number(obj.get(k, d), k) for k, d in (("lo", 0.0), ("hi", 1.0)))
             return Quadrature.trapezoid(m, lo, hi)
         if kind == "tensor_trapezoid":
-            bounds = _pairs(obj.get("bounds") or [[0.0, 1.0]] * len(obj["m"]), "bounds")
-            # each count whole; their product, the node count, capped
-            counts = np.broadcast_to(_numbers(obj["m"], "m", int, len(bounds)), len(bounds)).tolist()
-            _bounded(math.prod(counts), MAX_NODES, "the node count")
+            counts = _numbers(obj["m"], "m", int, 1)
+            bounds = _pairs(obj.get("bounds") or [[0.0, 1.0]] * dim, "bounds")
+            # each count whole; the node count, one count's power or their product, capped
+            n_nodes = counts[0] ** len(bounds) if len(counts) == 1 else math.prod(counts)
+            _bounded(n_nodes, MAX_NODES, "the node count")
             return Quadrature.tensor_trapezoid(counts, bounds)
         if kind == "explicit":
             return Quadrature(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
@@ -175,9 +181,7 @@ def _bounding_box(points: np.ndarray) -> UniformBox:
 
 def _default_eta(box: UniformBox) -> Quadrature:
     """Trapezoid rule over the design box: 2001 nodes in 1-D, 41 per axis above."""
-    if box.dim == 1:
-        return Quadrature.trapezoid(2001, *box.bounds[0])
-    return Quadrature.tensor_trapezoid([41] * box.dim, box.bounds)
+    return Quadrature.tensor_trapezoid(2001 if box.dim == 1 else 41, box.bounds)
 
 
 def _parse_rate(obj, context: str):
@@ -207,7 +211,7 @@ def _cmd_spectrum(cfg: dict | None, seed: int, out: Path) -> list[str]:
         raise ConfigError("spectrum: --config is required")
     _check_keys(cfg, {"kernel", "measure", "p"}, {"nodes_table"}, "spectrum")
     spec = _parse_kernel(cfg["kernel"], "spectrum.kernel")
-    quad = _parse_measure(cfg["measure"], "spectrum.measure")
+    quad = _parse_measure(cfg["measure"], "spectrum.measure", spec.dim)
     P = _term_count(cfg["p"], len(quad), "spectrum.p")
     nodes_table = _typed_override(False, cfg.get("nodes_table", False), "spectrum.nodes_table")
     s = nystrom_spectrum(spec, quad, P, table=nodes_table)
@@ -248,17 +252,15 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
     n_designs = _bounded(cfg.get("n_designs", 10), MAX_COUNT, "curve.n_designs")
     inv_tau = _inv_tau_from_cfg(cfg, "curve")
     taus = 1.0 / inv_tau
-    quad = _parse_measure(cfg["quadrature"], "curve.quadrature") if "quadrature" in cfg else None
+    quad = (_parse_measure(cfg["quadrature"], "curve.quadrature", spec.dim)
+            if "quadrature" in cfg else None)
     theory_cfg = cfg.get("theory", {})
     if theory_cfg is not False:
         _check_keys(theory_cfg, set(), {"spectrum_m", "p"}, "curve.theory")
         m1 = _bounded(theory_cfg.get("spectrum_m", 2000 if spec.dim == 1 else 45),
                       MAX_NODES, "curve.theory.spectrum_m")
         _bounded(m1**spec.dim, MAX_NODES, "curve.theory.spectrum_m node count")
-        if spec.dim == 1:
-            sq = Quadrature.trapezoid(m1, 0.0, 1.0)
-        else:
-            sq = Quadrature.tensor_trapezoid([m1] * spec.dim, [(0.0, 1.0)] * spec.dim)
+        sq = Quadrature.tensor_trapezoid(m1, [(0.0, 1.0)] * spec.dim)
         P = _term_count(theory_cfg.get("p", min(200, len(sq) // 10)), len(sq), "curve.theory.p")
     mean, stderr = empirical_learning_curve(spec, n, taus, n_designs, seed, quadrature=quad)
     if theory_cfg is False:
@@ -365,7 +367,8 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     if not np.all(np.isfinite(noise) & (noise > 0)):
         raise ConfigError("allocate.sigma_eps2: noise variances must be finite and positive")
     design = Design(points, _bounding_box(points))
-    eta = _parse_measure(cfg["eta"], "allocate.eta") if "eta" in cfg else _default_eta(design.measure)
+    eta = (_parse_measure(cfg["eta"], "allocate.eta", spec.dim)
+           if "eta" in cfg else _default_eta(design.measure))
     plan = plan_allocation(spec, design, noise, T, eta)
     save_plan_csv(out / "plan.csv", design, noise, plan)
     _write_json(out / "summary.json", {

@@ -130,24 +130,27 @@ class Quadrature:
     def tensor_trapezoid(cls, m_per_dim, bounds) -> "Quadrature":
         """Tensor-product trapezoidal grid over an axis-aligned box.
 
-        A scalar ``m_per_dim`` is broadcast across all axes of ``bounds``;
-        a count that is not a whole number is refused, not truncated.
+        ``m_per_dim`` is one node count for every axis of ``bounds`` or one
+        count per axis; any other number of counts is refused, and so is a
+        count that is not a whole number, never truncated.  Over one axis
+        the grid is ``trapezoid(m, lo, hi)`` itself, nodes and weights alike.
         """
-        m_per_dim = np.atleast_1d(m_per_dim).tolist()
-        if not all(float(m).is_integer() for m in m_per_dim):
-            raise ValueError(f"node counts must be whole numbers, got {m_per_dim}")
-        if len(m_per_dim) == 1:
-            m_per_dim = m_per_dim * len(bounds)
-        axes, wts = [], []
-        for m, (lo, hi) in zip(m_per_dim, bounds, strict=True):
-            q = cls.trapezoid(int(m), lo, hi)
-            axes.append(q.nodes.ravel())
-            wts.append(q.weights)
-        grids = np.meshgrid(*axes, indexing="ij")
+        counts = np.atleast_1d(m_per_dim).tolist()
+        if not all(float(m).is_integer() for m in counts):
+            raise ValueError(f"node counts must be whole numbers, got {counts}")
+        if len(bounds) == 0 or len(counts) not in (1, len(bounds)):
+            raise ValueError(f"need one node count or one per axis of a {len(bounds)}-axis box, "
+                             f"got {counts}")
+        if len(counts) == 1:
+            counts = counts * len(bounds)
+        axes = [cls.trapezoid(int(m), lo, hi) for m, (lo, hi) in zip(counts, bounds)]
+        if len(axes) == 1:
+            return axes[0]
+        grids = np.meshgrid(*(q.nodes.ravel() for q in axes), indexing="ij")
         nodes = np.column_stack([g.ravel() for g in grids])
-        w = wts[0]
-        for wi in wts[1:]:
-            w = np.outer(w, wi).ravel()
+        w = axes[0].weights
+        for q in axes[1:]:
+            w = np.outer(w, q.weights).ravel()
         return cls(nodes, w)
 
 

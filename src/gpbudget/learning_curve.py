@@ -171,11 +171,7 @@ def empirical_learning_curve(
         raise ValueError("tau values must be positive")
     measure = UniformBox(tuple((0.0, 1.0) for _ in range(spec.dim)))
     if quadrature is None:
-        if spec.dim == 1:
-            quadrature = Quadrature.trapezoid(4000, *measure.bounds[0])
-        else:
-            m1 = max(2, int(round(4000 ** (1 / spec.dim))))
-            quadrature = Quadrature.tensor_trapezoid([m1] * spec.dim, measure.bounds)
+        quadrature = Quadrature.tensor_trapezoid(max(2, round(4000 ** (1 / spec.dim))), measure.bounds)
     streams = np.random.SeedSequence(seed).spawn(n_designs)
     per_design = np.empty((n_designs, len(tau_grid)))
     for r, ss in enumerate(streams):

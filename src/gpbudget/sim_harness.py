@@ -79,7 +79,7 @@ class SyntheticSimulator:
 
     @cached_property
     def _kl(self):
-        quad = Quadrature.tensor_trapezoid([_KL_GRID, _KL_GRID], ((0.0, 1.0), (0.0, 1.0)))
+        quad = Quadrature.tensor_trapezoid(_KL_GRID, ((0.0, 1.0), (0.0, 1.0)))
         spec = nystrom_spectrum(_KL_KERNEL, quad, _KL_TERMS)
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 20251]))
         xi = rng.standard_normal(_KL_TERMS)
@@ -117,10 +117,7 @@ class SyntheticSimulator:
     def _noise_mean(self) -> float:
         if self.noise_field == "constant":
             return 1.0
-        if self.dim == 1:
-            quad = Quadrature.trapezoid(2001)
-        else:
-            quad = Quadrature.tensor_trapezoid([81, 81], ((0.0, 1.0), (0.0, 1.0)))
+        quad = Quadrature.tensor_trapezoid(2001 if self.dim == 1 else 81, ((0.0, 1.0),) * self.dim)
         return float(quad.weights @ self._noise_shape(quad.nodes))
 
 
@@ -299,7 +296,7 @@ def run_figure2(out_dir, seed: int, config: dict | None = None) -> dict:
     inv_tau = np.geomspace(mc["inv_tau_min"], mc["inv_tau_max"], mc["inv_tau_count"])
     taus = 1.0 / inv_tau
     spec = KernelSpec(family="matern_tensor", nu=mc["nu"], lengthscales=(mc["theta"], mc["theta"]))
-    quad = Quadrature.tensor_trapezoid([mc["quad_m"]] * 2, ((0.0, 1.0), (0.0, 1.0)))
+    quad = Quadrature.tensor_trapezoid(mc["quad_m"], ((0.0, 1.0), (0.0, 1.0)))
     mean, stderr = empirical_learning_curve(
         spec, cfg["n"], taus, cfg["n_designs"],
         seed=ss_mat.generate_state(1)[0], quadrature=quad,
@@ -399,14 +396,13 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     kernel = KernelSpec(
         family="matern_tensor", nu=fit.nu, lengthscales=fit.theta, variance=fit.sigma2
     )
-    eta = Quadrature.tensor_trapezoid([cfg["eta_m"]] * 2, ((0.0, 1.0), (0.0, 1.0)))
+    eta = Quadrature.tensor_trapezoid(cfg["eta_m"], design.measure.bounds)
     imse_t0 = heteroscedastic_imse(kernel, design, noise_pp, np.full(n, s0), eta)
 
     # held-out test grid; its reference values are replicate means, so a
     # noise floor of sigma_eps2_bar / test_s remains in every EMSE figure
-    g = np.linspace(0.0, 1.0, cfg["test_grid"])
-    gx, gy = np.meshgrid(g, g, indexing="ij")
-    test_design = Design(np.column_stack([gx.ravel(), gy.ravel()]), design.measure)
+    test_grid = Quadrature.tensor_trapezoid(cfg["test_grid"], design.measure.bounds).nodes
+    test_design = Design(test_grid, design.measure)
     test_values = sample_observations(sim, test_design, cfg["test_s"], ss_test).means
 
     # every predictor below is the BLUP on the same design and kernel: its

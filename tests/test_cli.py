@@ -661,6 +661,19 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     pytest.param("fit", dict(FIT_CSV_CFG, noise=None), "fit.noise", id="fit-noise-null"),
     pytest.param("fit", dict(FIT_CSV_CFG, mean=[1]), "fit.mean", id="fit-mean-list"),
     pytest.param("fit", dict(FIT_CSV_CFG, bounds=5), "fit.bounds", id="fit-bounds-scalar"),
+    # a bound is a pair [lo, hi]: three numbers or one are refused, naming the key
+    pytest.param("fit", dict(FIT_CSV_CFG, bounds=[[1, 2, 3]] * 3), "fit.bounds",
+                 id="fit-bounds-triples"),
+    pytest.param("fit", dict(FIT_CSV_CFG, bounds=[[1]] * 3), "fit.bounds", id="fit-bounds-singles"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [50],
+                                                     "bounds": [[0.0, 0.5, 1.0]]}),
+                 "allocate.eta: bounds", id="allocate-eta-bounds-triple"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": []}),
+                 "allocate.eta: need one node count", id="allocate-eta-no-count"),
+    # a count list of another length than the kernel's dimension, without bounds
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [21, 21]}),
+                 "allocate.eta: need one node count or one per axis of a 1-axis box",
+                 id="allocate-eta-counts-per-other-dim"),
     pytest.param("allocate", dict(ALLOCATE_CFG, sigma_eps2=True), "allocate.sigma_eps2",
                  id="allocate-sigma_eps2-bool"),
     pytest.param("allocate", dict(ALLOCATE_CFG, kernel={"family": "matern1d", "nu": True}),
@@ -683,6 +696,29 @@ def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not (out / "run_manifest.json").exists()
+
+
+GAUSSIAN_2D = {"family": "gaussian", "lengthscales": [0.3, 0.3]}
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    pytest.param("allocate", dict(ALLOCATE_CFG, kernel=GAUSSIAN_2D,
+                                  points=[[0.1, 0.2], [0.5, 0.6], [0.9, 0.3]]),
+                 "eta", id="allocate-eta"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, kernel=GAUSSIAN_2D), "measure", id="spectrum-measure"),
+    pytest.param("curve", dict(CURVE_CFG, kernel=GAUSSIAN_2D, theory=False), "quadrature",
+                 id="curve-quadrature"),
+])
+def test_one_tensor_count_covers_the_kernel_dimension(command, cfg, key, tmp_path):
+    # one count without bounds is the unit-box grid of the kernel's dimension,
+    # the same bytes as one count per axis
+    outs = []
+    for name, m in (("scalar", 21), ("per_axis", [21, 21])):
+        rc, out = run_cli(command, tmp_path, dict(cfg, **{key: {"type": "tensor_trapezoid", "m": m}}),
+                          name=name)
+        assert rc == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"})
+    assert outs[0] and outs[0] == outs[1]
 
 
 class TestManifest:

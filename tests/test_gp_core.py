@@ -65,6 +65,19 @@ class TestQuadrature:
             Quadrature.tensor_trapezoid(m, ((0.0, 1.0), (0.0, 1.0)))
         assert len(Quadrature.tensor_trapezoid([4.0, 3], ((0.0, 1.0), (0.0, 1.0)))) == 12
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.2, 0.7)])
+    @pytest.mark.parametrize("m", [2, 1001, 2001, 4000])
+    def test_one_axis_tensor_grid_is_the_trapezoid_rule(self, m, bounds):
+        # bit for bit: the one-axis grid is not normalized a second time
+        tensor, trap = Quadrature.tensor_trapezoid(m, (bounds,)), Quadrature.trapezoid(m, *bounds)
+        assert np.array_equal(tensor.nodes, trap.nodes)
+        assert np.array_equal(tensor.weights, trap.weights)
+
+    @pytest.mark.parametrize("m", [[3, 4, 5], []], ids=["three-counts", "no-count"])
+    def test_tensor_grid_refuses_a_count_list_of_the_wrong_length(self, m):
+        with pytest.raises(ValueError, match="one node count or one per axis"):
+            Quadrature.tensor_trapezoid(m, ((0.0, 1.0), (0.0, 1.0)))
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             Quadrature(np.array([[0.0], [1.0]]), np.array([0.5, -0.5]))

@@ -384,6 +384,7 @@ class TestRequiredBudget:
 
 
 class TestRecoveryFromSimulatedData:
+    @pytest.mark.slow
     def test_recovers_known_parameters_across_seeds(self):
         true = (1.31, 0.67, 0.45, 0.24)
         noise, m, n = 3.3e-3, 0.65, 200
