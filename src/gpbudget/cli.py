@@ -32,6 +32,7 @@ from .learning_curve import asymptotic_imse, empirical_learning_curve, rate_law
 from .planner import (
     DEFAULT_N_POLISH,
     DEFAULT_N_RANDOM,
+    _checked_bounds,
     estimate_noise,
     fit_hyperparameters,
     required_budget,
@@ -107,6 +108,14 @@ def _pairs(val, name: str) -> list[tuple]:
     return pairs
 
 
+def _grid_count(value, cap: float, name: str) -> int:
+    """A trapezoid grid's node count per axis: a size (``_bounded``) of at least 2."""
+    m = _bounded(value, cap, name)
+    if m < 2:
+        raise ConfigError(f"{name}: a trapezoid grid needs at least 2 nodes per axis, got {m}")
+    return m
+
+
 def _term_count(value, n_nodes: int, name: str) -> int:
     """A spectrum's eigenvalue count: 1 <= p <= n_nodes / 10."""
     P = _bounded(value, MAX_NODES, name)
@@ -150,27 +159,31 @@ def _parse_kernel(obj, context: str) -> KernelSpec:
 
 
 def _parse_measure(obj, context: str, dim: int) -> Quadrature:
-    """A config measure; a tensor grid without ``bounds`` covers the unit box of
-    ``dim`` axes."""
+    """A config measure of the kernel's dimension ``dim``; a tensor grid without
+    ``bounds`` covers the unit box of ``dim`` axes."""
     _check_keys(obj, {"type"}, {"m", "lo", "hi", "bounds", "nodes", "weights"}, context)
     kind = obj["type"]
     try:
         if kind == "trapezoid":
             m = _bounded(obj["m"], MAX_NODES, "m")
             lo, hi = (_config_number(obj.get(k, d), k) for k, d in (("lo", 0.0), ("hi", 1.0)))
-            return Quadrature.trapezoid(m, lo, hi)
-        if kind == "tensor_trapezoid":
+            quad = Quadrature.trapezoid(m, lo, hi)
+        elif kind == "tensor_trapezoid":
             counts = _numbers(obj["m"], "m", int, 1)
             bounds = _pairs(obj.get("bounds") or [[0.0, 1.0]] * dim, "bounds")
             # each count whole; the node count, one count's power or their product, capped
             n_nodes = counts[0] ** len(bounds) if len(counts) == 1 else math.prod(counts)
             _bounded(n_nodes, MAX_NODES, "the node count")
-            return Quadrature.tensor_trapezoid(counts, bounds)
-        if kind == "explicit":
-            return Quadrature(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
+            quad = Quadrature.tensor_trapezoid(counts, bounds)
+        elif kind == "explicit":
+            quad = Quadrature(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
+        else:
+            raise ConfigError(f"unknown measure type {kind!r}")
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"{context}: {e}")
-    raise ConfigError(f"{context}: unknown measure type {kind!r}")
+    if quad.dim != dim:
+        raise ConfigError(f"{context}: the measure has dimension {quad.dim}, the kernel {dim}")
+    return quad
 
 
 def _bounding_box(points: np.ndarray) -> UniformBox:
@@ -289,6 +302,11 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
     except (OSError, ValueError) as e:
         raise ConfigError(f"fit.data_csv: {e}")
     design = Design(points, _bounding_box(points))
+    if bounds is not None:
+        try:
+            bounds = _checked_bounds(bounds, design.dim)
+        except ValueError as e:
+            raise ConfigError(f"fit.bounds: {e}")
     if noise is None:
         noise = float(np.mean(obs.noise_var))
     fit = fit_hyperparameters(design, obs.means, noise=noise, seed=seed, bounds=bounds,
@@ -421,7 +439,7 @@ def _cmd_figure1(cfg, seed, out):
     for key in ("n_designs", "inv_tau_count"):
         _bounded(c[key], MAX_COUNT, f"figure1.{key}")
     for key in ("quad_m", "spectrum_m"):
-        _bounded(c[key], MAX_NODES, f"figure1.{key}")
+        _grid_count(c[key], MAX_NODES, f"figure1.{key}")
     report = run_figure1(out, seed, cfg)
     _write_json(out / "figure1_report.json", report)
     return report["files"] + ["figure1_report.json"]
@@ -434,9 +452,9 @@ def _cmd_figure2(cfg, seed, out):
     for part in ("matern", "gaussian"):
         _bounded(c[part]["inv_tau_count"], MAX_COUNT, f"figure2.{part}.inv_tau_count")
     # the Matern quadrature is a tensor grid of quad_m^2 nodes
-    m = _bounded(c["matern"]["quad_m"], MAX_NODES, "figure2.matern.quad_m")
+    m = _grid_count(c["matern"]["quad_m"], MAX_NODES, "figure2.matern.quad_m")
     _bounded(m * m, MAX_NODES, "figure2.matern.quad_m node count")
-    _bounded(c["gaussian"]["quad_m"], MAX_NODES, "figure2.gaussian.quad_m")
+    _grid_count(c["gaussian"]["quad_m"], MAX_NODES, "figure2.gaussian.quad_m")
     report = run_figure2(out, seed, cfg)
     _write_json(out / "figure2_report.json", report)
     return report["files"] + ["figure2_report.json"]
@@ -446,9 +464,9 @@ def _cmd_casestudy(cfg, seed, out):
     c = _merge_config(CASE_STUDY_DEFAULTS, cfg, "casestudy")
     n = _bounded(c["n"], MAX_POINTS, "casestudy.n")
     # the test grid and eta are test_grid^2 points and eta_m^2 nodes in 2-D
-    g = _bounded(c["test_grid"], MAX_POINTS, "casestudy.test_grid")
+    g = _grid_count(c["test_grid"], MAX_POINTS, "casestudy.test_grid")
     _bounded(g * g, MAX_POINTS, "casestudy.test_grid point count")
-    m = _bounded(c["eta_m"], MAX_NODES, "casestudy.eta_m")
+    m = _grid_count(c["eta_m"], MAX_NODES, "casestudy.eta_m")
     _bounded(m * m, MAX_NODES, "casestudy.eta_m node count")
     for key in ("n_random", "n_polish"):
         _bounded(c[key], MAX_COUNT, f"casestudy.{key}")

@@ -23,11 +23,16 @@ Matern at nu = 1/2, 3/2, 5/2 has closed forms.  Any other nu needs the
 Bessel factor 2^{1-nu}/Gamma(nu) u^nu K_mu(u) (mu = nu for the
 correlation, mu = nu - 1 for its lengthscale derivative), which is read
 from a piecewise Chebyshev interpolant in s = log u (Trefethen,
-*Approximation Theory and Approximation Practice*, ch. 3 and 8): one
-table per (nu, mu), built from a few hundred ``kv`` values at its
-nodes, kept in a small cache and evaluated entry by entry with
-Clenshaw's recurrence.  Entries above the table's top, and every entry
-of a (nu, mu) whose table fails its own accuracy check, use ``kv``
+*Approximation Theory and Approximation Practice*, ch. 3 and 8),
+evaluated entry by entry with Clenshaw's recurrence.  One table per
+(nu, mu) is built from a few hundred ``kv`` values at its nodes and kept
+in a small cache.  For mu = nu the tables are interpolated in nu as well:
+on geometric nu panels [2^k, 2^{k+1}] / 16, each built on first use from
+the tables at its Chebyshev points in nu, the table at any nu is a short
+sum, and the differentiated nu series gives the nu-derivative of the
+factor's logarithm that the likelihood gradient needs.  A nu outside the
+panels uses its own table.  Entries above the table's top, and every
+entry of a (nu, mu) whose table fails its own accuracy check, use ``kv``
 directly.
 """
 
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder
 from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import eval_legendre, gammaln, kv
 
@@ -71,6 +77,15 @@ _CHEB_DEGREE = 18
 _CHEB_TAIL_TOL = 1e-13
 _CHEB_S_LO = math.log(_MATERN_U_FLOOR)
 _CHEB_WIDTH = (math.log(_BESSEL_TABLE_TOP) - _CHEB_S_LO) / _CHEB_PANELS
+# For mu = nu the tables are interpolated in nu as well, on geometric panels
+# [2^k, 2^{k+1}] / 16 for k < _NU_PANELS at _NU_NODES Chebyshev points each:
+# the last series terms stay below 3e-14 and the factor within about 3e-13
+# of kv.  A ninth panel [16, 32] would need the tables that fail above 26.
+_NU_PANEL_LO = 1 / 16
+_NU_PANELS = 8
+_NU_NODES = 24
+# the nu range of the panels, where the likelihood gradient has its nu entry
+NU_RANGE = (_NU_PANEL_LO, _NU_PANEL_LO * 2**_NU_PANELS)
 
 
 @dataclass(frozen=True)
@@ -178,8 +193,30 @@ def _matern_prefactor(um: np.ndarray, nu: float) -> np.ndarray:
     return np.exp(_log_prefactor(np.log(um), nu))
 
 
-@lru_cache(maxsize=8)
-def _bessel_table(nu: float, mu: float) -> np.ndarray | None:
+@lru_cache(maxsize=None)
+def _cheb_transform(deg: int) -> np.ndarray:
+    """Map from the values at the deg + 1 ascending Chebyshev points of the second
+    kind, x_j = -cos(pi j / deg), to the coefficients of their interpolant:
+    c_k = (2/deg) sum'' g_j T_k(x_j), with T_k(x_j) = (-1)^k cos(pi k j / deg)."""
+    j = np.arange(deg + 1)
+    transform = (2.0 / deg) * (-1.0) ** j[:, None] * np.cos(np.pi * np.outer(j, j) / deg)
+    transform[:, [0, deg]] *= 0.5
+    transform[[0, deg]] *= 0.5
+    transform.flags.writeable = False
+    return transform
+
+
+def _cheb_points01(deg: int) -> np.ndarray:
+    """The deg + 1 ascending Chebyshev points of the second kind, mapped to [0, 1]."""
+    return (1 - np.cos(np.pi * np.arange(deg + 1) / deg)) / 2
+
+
+def _tail_ok(coef: np.ndarray) -> bool:
+    """The last two Chebyshev coefficients are finite and below _CHEB_TAIL_TOL."""
+    return bool(np.max(np.abs(coef[-2:])) <= _CHEB_TAIL_TOL)
+
+
+def _log_factor_coef(nu: float, mu: float) -> np.ndarray | None:
     """Interpolant of g(s) = u + log(2^{1-nu}/Gamma(nu) u^nu K_mu(u)), s = log u.
 
     Returns its Chebyshev coefficients, shape (degree + 1, panels).
@@ -192,42 +229,87 @@ def _bessel_table(nu: float, mu: float) -> np.ndarray | None:
     some panel exceed _CHEB_TAIL_TOL, or are not finite.
     """
     deg = _CHEB_DEGREE
-    j = np.arange(deg + 1)
-    # ascending points x_j = -cos(pi j / deg) of [-1, 1], mapped to [0, 1]
-    x01 = (1 - np.cos(np.pi * j[:-1] / deg)) / 2
-    s = (_CHEB_S_LO + _CHEB_WIDTH * (np.arange(_CHEB_PANELS)[:, None] + x01)).ravel()
+    panels = np.arange(_CHEB_PANELS)[:, None]
+    s = (_CHEB_S_LO + _CHEB_WIDTH * (panels + _cheb_points01(deg)[:-1])).ravel()
     s = np.append(s, _CHEB_S_LO + _CHEB_WIDTH * _CHEB_PANELS)
     u = np.exp(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = _log_prefactor(s, nu) + np.log(kv(mu, u)) + u
-    values = g[deg * np.arange(_CHEB_PANELS)[:, None] + j]
-    # c_k = (2/deg) sum'' g_j T_k(x_j), with T_k(x_j) = (-1)^k cos(pi k j / deg)
-    transform = (2.0 / deg) * (-1.0) ** j[:, None] * np.cos(np.pi * np.outer(j, j) / deg)
-    transform[:, [0, deg]] *= 0.5
-    transform[[0, deg]] *= 0.5
-    with np.errstate(invalid="ignore"):
-        coef = transform @ values.T
-        if not np.max(np.abs(coef[-2:])) <= _CHEB_TAIL_TOL:
-            return None
+        coef = _cheb_transform(deg) @ g[deg * panels + np.arange(deg + 1)].T
+    if not _tail_ok(coef):
+        return None
     coef.flags.writeable = False
     return coef
 
 
-def _cheb_exp(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """exp(g(log u) - u) at each u in the table's range, by Clenshaw's recurrence.
+@lru_cache(maxsize=8)
+def _bessel_table(nu: float, mu: float) -> np.ndarray | None:
+    """The per-(nu, mu) table ``_log_factor_coef``, kept in a small cache."""
+    return _log_factor_coef(nu, mu)
 
-    Only elementwise operations, so an entry's value does not depend on
-    the other entries of u; each step gathers one coefficient per entry,
-    so no array larger than u is made.
+
+@lru_cache(maxsize=None)
+def _nu_panel(k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Chebyshev series in nu of the mu = nu table over nu panel k.
+
+    Panel k is [2^k, 2^{k+1}] * _NU_PANEL_LO, mapped to x in [-1, 1].  Returns
+    (A, dA), shape (_NU_NODES, table size) and one row less: coef(nu) =
+    sum_m A_m T_m(x) and d coef/dnu = sum_m dA_m T_m(x), the differentiated
+    series (``chebder``) times dx/dnu.  Built from ``_log_factor_coef`` at
+    the panel's _NU_NODES Chebyshev points on first use.  None when a node's
+    table fails its check, or the last two series terms exceed _CHEB_TAIL_TOL.
     """
+    lo = _NU_PANEL_LO * 2.0**k
+    tables = [_log_factor_coef(nu, nu) for nu in lo * (1 + _cheb_points01(_NU_NODES - 1))]
+    if any(t is None for t in tables):
+        return None
+    A = _cheb_transform(_NU_NODES - 1) @ np.reshape(tables, (_NU_NODES, -1))
+    if not _tail_ok(A):
+        return None
+    # x = 2 nu / lo - 3 on panel k, so dx/dnu = 2 / lo
+    dA = chebder(A) * (2.0 / lo)
+    A.flags.writeable = dA.flags.writeable = False
+    return A, dA
+
+
+def _nu_coef(nu: float, derivative: bool = False) -> np.ndarray | None:
+    """The mu = nu table at nu (or its nu-derivative) from nu's panel, or None
+    when nu lies outside the panels or its panel failed its check."""
+    # nu * 16 = frac * 2^e with frac in [0.5, 1): panel e - 1, at x = 4 frac - 3
+    frac, e = math.frexp(nu / _NU_PANEL_LO)
+    k, x = e - 1, 4.0 * frac - 3.0
+    if k == _NU_PANELS and frac == 0.5:
+        # the top of the range belongs to the last panel
+        k, x = _NU_PANELS - 1, 1.0
+    panel = _nu_panel(k) if 0 <= k < _NU_PANELS else None
+    if panel is None:
+        return None
+    series = panel[1] if derivative else panel[0]
+    # T_m(x) = cos(m arccos x)
+    T = np.cos(np.arange(len(series)) * math.acos(x))
+    return (T @ series).reshape(_CHEB_DEGREE + 1, _CHEB_PANELS)
+
+
+def _cheb_locate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each u's table panel and 2x, with x in [-1, 1] its position inside that panel."""
     t = (np.log(u) - _CHEB_S_LO) / _CHEB_WIDTH
     idx = t.astype(np.intp)
     np.minimum(idx, _CHEB_PANELS - 1, out=idx)
-    # 2x, with x in [-1, 1] the position inside panel idx
     x2 = t - idx
     x2 *= 4.0
     x2 -= 2.0
-    b1 = coef[-1].take(idx)
+    return idx, x2
+
+
+def _clenshaw(coef: np.ndarray, idx: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The table's series at the located entries (``_cheb_locate``), by Clenshaw's recurrence.
+
+    Only elementwise operations, so an entry's value does not depend on
+    the other entries; each step gathers one coefficient per entry, so no
+    array larger than the entries is made.  The gathers use mode="clip"
+    (every index is in range), which writes to ``out`` unbuffered.
+    """
+    b1 = coef[-1].take(idx, mode="clip")
     b2 = np.zeros_like(b1)
     step = np.empty_like(b1)
     c = np.empty_like(b1)
@@ -235,25 +317,34 @@ def _cheb_exp(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
         # b_k = c_k + 2x b_{k+1} - b_{k+2}
         np.multiply(x2, b1, out=step)
         step -= b2
-        step += row.take(idx, out=c)
+        step += row.take(idx, out=c, mode="clip")
         b2, b1, step = b1, step, b2
-    # g = c_0 + x b_1 - b_2, then exp(g - u)
-    x2 *= 0.5
-    x2 *= b1
-    x2 -= b2
-    x2 += coef[0].take(idx, out=c)
-    x2 -= u
-    return np.exp(x2, out=x2)
+    # g = c_0 + x b_1 - b_2
+    g = np.multiply(x2, 0.5, out=step)
+    g *= b1
+    g -= b2
+    g += coef[0].take(idx, out=c, mode="clip")
+    return g
+
+
+def _cheb_exp(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp(g(log u) - u) at each u in the table's range."""
+    g = _clenshaw(coef, *_cheb_locate(u))
+    g -= u
+    return np.exp(g, out=g)
 
 
 def _bessel_factor(um: np.ndarray, nu: float, mu: float) -> np.ndarray:
     """2^{1-nu}/Gamma(nu) * um^nu * K_mu(um) for a 1-D array um > _MATERN_U_FLOOR.
 
-    From the (nu, mu) table up to _BESSEL_TABLE_TOP; above it, or for every
-    entry when the table failed its check, the direct ``kv`` formula, which
-    is nan where it meets inf * 0.
+    Up to _BESSEL_TABLE_TOP from the mu = nu table of nu's panel, or else
+    from the per-(nu, mu) table; above it, or for every entry when neither
+    table passed its check, the direct ``kv`` formula, which is nan where
+    it meets inf * 0.
     """
-    coef = _bessel_table(float(nu), float(mu))
+    coef = _nu_coef(nu) if mu == nu else None
+    if coef is None:
+        coef = _bessel_table(float(nu), float(mu))
     if coef is None:
         return _matern_prefactor(um, nu) * kv(mu, um)
     far = um > _BESSEL_TABLE_TOP
@@ -262,6 +353,25 @@ def _bessel_factor(um: np.ndarray, nu: float, mu: float) -> np.ndarray:
     out = np.empty_like(um)
     out[~far] = _cheb_exp(coef, um[~far])
     out[far] = _matern_prefactor(um[far], nu) * kv(mu, um[far])
+    return out
+
+
+def _matern_log_factor_dnu(r: np.ndarray, nu: float) -> np.ndarray:
+    """d/dnu of log(2^{1-nu}/Gamma(nu) u^nu K_nu(u)) at fixed u = sqrt(2 nu) r.
+
+    Read from the differentiated series of nu's panel.  It is zero where
+    the correlation is held at 1 and above _BESSEL_TABLE_TOP, where the
+    correlation times it is below 1e-300.  ValueError for a nu outside
+    the panels.
+    """
+    dcoef = _nu_coef(nu, derivative=True)
+    if dcoef is None:
+        raise ValueError(f"nu = {nu} is outside the nu range [{NU_RANGE[0]}, {NU_RANGE[1]}] "
+                         "of the Bessel tables")
+    u = np.sqrt(2 * nu) * np.asarray(r, dtype=float)
+    out = np.zeros_like(u)
+    mask = (u > _MATERN_U_FLOOR) & (u <= _BESSEL_TABLE_TOP)
+    out[mask] = _clenshaw(dcoef, *_cheb_locate(u[mask]))
     return out
 
 

@@ -30,12 +30,11 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import pdist, squareform
 
 from .gp_core import Design, ObservationSet
-from .kernels import _matern_corr, _matern_corr_dtheta
+from .kernels import NU_RANGE, _matern_corr, _matern_corr_dtheta, _matern_log_factor_dnu
 from .learning_curve import RateLaw
 
 DEFAULT_N_RANDOM = 10000
 DEFAULT_N_POLISH = 150
-_FD_REL_STEP = 1e-6
 # a fitted parameter this close to a bound, relative to the bound, is reported as on it
 _AT_BOUND_REL = 1e-6
 
@@ -115,13 +114,16 @@ def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bo
     is mirrored from the same ``pdist`` triangle by the same ``squareform``
     as in ``gram_matrix``, so the value is bitwise the one a freshly built
     ``matern_tensor`` kernel of variance sigma2 gives.  Both axes read the
-    Bessel factor from one cached table for nu (``kernels._bessel_table``); the
-    gradient adds one for nu - 1 and one for each of nu +- h, so a
-    general-nu evaluation costs a few hundred ``kv`` calls, not one per
-    entry.  With ``gradient`` the result is (value, gradient), from the one
-    Cholesky factorization: each entry is dL/dp = 1/2 tr((alpha alpha' -
-    C^{-1}) dC/dp) (Rasmussen & Williams 2006, eq. 5.9), with dC/dnu a
-    central difference of the correlation at h = ``_FD_REL_STEP`` * nu.
+    Bessel factor from the table that nu's panel interpolates in nu
+    (``kernels._nu_coef``), so the value builds no table and calls no
+    ``kv`` once that panel exists.  With ``gradient`` the result is (value,
+    gradient), from the one Cholesky factorization: each entry is dL/dp =
+    1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams 2006, eq.
+    5.9).  The lengthscale entries add one per-nu table for K_{nu-1}
+    (``kernels._matern_corr_dtheta``), and the nu entry is analytic: per axis
+    drho/dnu = rho * dg/dnu - (drho/dtheta) * theta / (2 nu), with dg/dnu
+    from the differentiated nu series of the panel
+    (``kernels._matern_log_factor_dnu``).
     """
     params = np.asarray(params, dtype=float)
     nu, theta, sigma2 = float(params[0]), params[1:-1], float(params[-1])
@@ -142,15 +144,15 @@ def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bo
     w = squareform(W, checks=False)
     # dC/dnu and dC/dtheta_j have a zero diagonal (the correlation is 1 at
     # r = 0 for every nu), so their trace terms are sums over i < k
-    h = _FD_REL_STEP * nu
-    up, down = (reduce(np.multiply, [_matern_corr(rj, nu + s) for rj in scaled]) for s in (h, -h))
-    grad = [sigma2 * float(np.dot(w, (up - down) / (2 * h)))]
+    dcorr_dnu = 0.0
+    grad_theta = []
     for j, (rj, t) in enumerate(zip(scaled, theta)):
+        others = reduce(np.multiply, [f for k, f in enumerate(factors) if k != j], 1.0)
         slope = _matern_corr_dtheta(rj, nu, float(t))
-        for k, f in enumerate(factors):
-            if k != j:
-                slope = slope * f
-        grad.append(sigma2 * float(np.dot(w, slope)))
+        grad_theta.append(sigma2 * float(np.dot(w, slope * others)))
+        dfactor_dnu = factors[j] * _matern_log_factor_dnu(rj, nu) - slope * (float(t) / (2 * nu))
+        dcorr_dnu = dcorr_dnu + dfactor_dnu * others
+    grad = [sigma2 * float(np.dot(w, dcorr_dnu)), *grad_theta]
     grad.append(0.5 * float(np.trace(W)) + float(np.dot(w, corr)))
     return value, np.array(grad)
 
@@ -187,6 +189,19 @@ def default_bounds(d: int) -> list[tuple[float, float]]:
     return [(0.5, 3.0)] + [(0.01, 2.0)] * d + [(0.01, 1.0)]
 
 
+def _checked_bounds(bounds, d: int) -> list[tuple[float, float]]:
+    """A search box for (nu, theta_1..theta_d, sigma2) as float pairs, or ValueError:
+    d + 2 pairs with lo < hi, the nu pair inside ``kernels.NU_RANGE``, where the
+    likelihood gradient has its nu entry."""
+    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+    if len(bounds) != d + 2 or any(hi <= lo for lo, hi in bounds):
+        raise ValueError(f"bounds must be {d + 2} (lo, hi) pairs with lo < hi")
+    if not NU_RANGE[0] <= bounds[0][0] < bounds[0][1] <= NU_RANGE[1]:
+        raise ValueError(f"the nu bounds {list(bounds[0])} must lie within "
+                         f"[{NU_RANGE[0]}, {NU_RANGE[1]}], the nu range of the Bessel tables")
+    return bounds
+
+
 def fit_hyperparameters(
     design: Design,
     values,
@@ -202,7 +217,8 @@ def fit_hyperparameters(
 
     ``n_random`` uniform draws in the bounds box are scored, the best
     ``n_polish`` are refined by bounded L-BFGS-B, and the overall best
-    point wins (ties broken by draw order).  Each polish step makes one
+    point wins (ties broken by draw order).  The nu bounds must lie within
+    ``kernels.NU_RANGE``.  Each polish step makes one
     Cholesky factorization for the value and the gradient (see
     ``_log_likelihood``).  Distinct polished optima are counted as a
     multimodality diagnostic.  A start whose covariance cannot be
@@ -213,9 +229,7 @@ def fit_hyperparameters(
     d = design.dim
     if bounds is None:
         bounds = default_bounds(d)
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if len(bounds) != d + 2 or any(hi <= lo for lo, hi in bounds):
-        raise ValueError(f"bounds must be {d + 2} (lo, hi) pairs with lo < hi")
+    bounds = _checked_bounds(bounds, d)
     if n_random < 1 or n_polish < 1:
         raise ValueError("n_random and n_polish must be >= 1")
     m = float(np.mean(z)) if mean is None else float(mean)

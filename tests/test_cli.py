@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import gpbudget
-from gpbudget import __version__
+from gpbudget import __version__, cli, sim_harness
 from gpbudget.cli import ConfigError, _HANDLERS, main
 
 
@@ -320,6 +320,16 @@ class TestFitCommand:
         assert rc1 == rc2 == 0
         assert (out1 / "fit.json").read_bytes() == (out2 / "fit.json").read_bytes()
 
+    @pytest.mark.parametrize("nu_bounds", [[0.01, 3.0], [0.5, 40.0]], ids=["below", "above"])
+    def test_nu_bounds_outside_the_tables_exit_2(self, nu_bounds, tmp_path, capsys,
+                                                 observations_csv):
+        cfg = dict(self._cfg(observations_csv), bounds=[nu_bounds, [0.01, 2.0], [0.01, 1.0]])
+        rc, out = run_cli("fit", tmp_path, cfg, seed=11)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "fit.bounds: the nu bounds" in err
+        assert not (out / "fit.json").exists() and not (out / "run_manifest.json").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc, _ = run_cli("fit", tmp_path, {"data_csv": str(tmp_path / "nope.csv")})
         assert rc == 2
@@ -543,6 +553,7 @@ FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spe
     pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": BIG}),
                  "curve.theory.spectrum_m", id="curve-spectrum_m"),
     pytest.param("curve", dict(CURVE_CFG, kernel={"family": "gaussian", "lengthscales": [0.3, 0.3]},
+                               quadrature={"type": "tensor_trapezoid", "m": 21},
                                theory={"spectrum_m": 200}),
                  "curve.theory.spectrum_m", id="curve-spectrum_m-2d"),
     pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 200, "p": BIG}),
@@ -699,6 +710,53 @@ def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
 
 
 GAUSSIAN_2D = {"family": "gaussian", "lengthscales": [0.3, 0.3]}
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": 21,
+                                                     "bounds": [[0, 1], [0, 1]]}),
+                 "allocate.eta", id="allocate-eta-2d-bounds"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "explicit", "nodes": [[0.2, 0.2], [0.8, 0.8]],
+                                                     "weights": [0.5, 0.5]}),
+                 "allocate.eta", id="allocate-eta-explicit-2d"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, measure={"type": "tensor_trapezoid", "m": 21,
+                                                         "bounds": [[0, 1], [0, 1]]}),
+                 "spectrum.measure", id="spectrum-measure-2d-bounds"),
+    pytest.param("curve", dict(CURVE_CFG, kernel=GAUSSIAN_2D, theory=False), "curve.quadrature",
+                 id="curve-quadrature-1d"),
+])
+def test_measure_of_another_dimension_exits_2(command, cfg, key, tmp_path, capsys):
+    # a measure must have the kernel's dimension; the error names the key
+    rc, out = run_cli(command, tmp_path, cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{key}: the measure has dimension" in err
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    pytest.param("casestudy", {"eta_m": 1}, "casestudy.eta_m", id="casestudy-eta_m"),
+    pytest.param("casestudy", {"test_grid": 1}, "casestudy.test_grid", id="casestudy-test_grid"),
+    pytest.param("figure1", {"quad_m": 1}, "figure1.quad_m", id="figure1-quad_m"),
+    pytest.param("figure1", {"spectrum_m": 1}, "figure1.spectrum_m", id="figure1-spectrum_m"),
+    pytest.param("figure2", {"matern": {"quad_m": 1}}, "figure2.matern.quad_m",
+                 id="figure2-matern-quad_m"),
+    pytest.param("figure2", {"gaussian": {"quad_m": 0}}, "figure2.gaussian.quad_m",
+                 id="figure2-gaussian-quad_m"),
+])
+def test_grid_count_below_two_exits_2_before_any_work(command, cfg, key, monkeypatch, tmp_path,
+                                                      capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config should have been refused before this")
+
+    monkeypatch.setattr(sim_harness, "fit_hyperparameters", refuse)
+    for name in ("run_figure1", "run_figure2", "run_case_study"):
+        monkeypatch.setattr(cli, name, refuse)
+    rc, out = run_cli(command, tmp_path, cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{key}: a trapezoid grid needs at least 2 nodes" in err
+    assert not (out / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("command,cfg,key", [

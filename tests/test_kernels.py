@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,14 @@ from hypothesis import strategies as st
 
 from scipy.special import gamma, gammaln, kv
 
+import gpbudget
 from gpbudget.kernels import (
     KernelSpec,
+    NU_RANGE,
     _bessel_factor,
     _bessel_table,
+    _matern_log_factor_dnu,
+    _nu_panel,
     _matern_corr,
     _matern_corr_dtheta,
     cross_matrix,
@@ -412,3 +420,57 @@ class TestBesselTable:
         far = u > 690.0
         assert np.array_equal(got[far], _direct_bessel_factor(u[far], nu, nu))
         np.testing.assert_allclose(got[~far], _direct_bessel_factor(u[~far], nu, nu), rtol=1e-12)
+
+
+class TestNuPanels:
+    """The mu = nu tables interpolated in nu."""
+
+    def test_every_panel_passes_its_check(self):
+        # so NU_RANGE, where the fit accepts its nu bounds, has a gradient everywhere
+        for k in range(8):
+            assert _nu_panel(k) is not None
+        assert NU_RANGE == (1 / 16, 16.0)
+
+    @pytest.mark.parametrize("nu", [0.0625, 0.3, 1.0, 2.7, 7.9, 16.0])
+    def test_log_factor_dnu_matches_a_central_difference(self, nu):
+        r = np.array([1e-6, 1e-3, 0.05, 0.4, 1.3, 6.0]) / math.sqrt(2 * nu)
+        u = math.sqrt(2 * nu) * r
+        h = 1e-5 * nu
+        fd = (np.log(_direct_bessel_factor(u, nu + h, nu + h))
+              - np.log(_direct_bessel_factor(u, nu - h, nu - h))) / (2 * h)
+        np.testing.assert_allclose(_matern_log_factor_dnu(r, nu), fd, rtol=1e-6, atol=1e-8)
+
+    def test_log_factor_dnu_is_zero_where_the_correlation_is_held(self):
+        assert np.array_equal(_matern_log_factor_dnu(np.array([0.0, 1e-12]), 1.31), [0.0, 0.0])
+
+    @pytest.mark.parametrize("nu", [0.05, 16.01, 20.0])
+    def test_log_factor_dnu_outside_the_panels_raises(self, nu):
+        with pytest.raises(ValueError, match="outside the nu range"):
+            _matern_log_factor_dnu(np.array([0.5]), nu)
+
+    def test_outside_the_panels_the_per_nu_table_is_used(self):
+        for nu in (0.05, 20.0):
+            u = np.array([1e-3, 0.7, 30.0])
+            assert _bessel_table(nu, nu) is not None
+            np.testing.assert_allclose(_bessel_factor(u, nu, nu), _direct_bessel_factor(u, nu, nu),
+                                       rtol=1e-12)
+
+
+def test_import_builds_no_table():
+    # a fresh import of the command line makes no kv call and fills no table cache
+    body = (
+        "import scipy.special\n"
+        "calls = []\n"
+        "kv = scipy.special.kv\n"
+        "scipy.special.kv = lambda *a: calls.append(a) or kv(*a)\n"
+        "import gpbudget.cli\n"
+        "from gpbudget import kernels\n"
+        "print(len(calls), kernels._nu_panel.cache_info().currsize,\n"
+        "      kernels._bessel_table.cache_info().currsize)\n"
+    )
+    src = str(Path(gpbudget.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"]

@@ -21,7 +21,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma, kv
 
-from gpbudget import planner
+from gpbudget import kernels, planner
 from gpbudget.gp_core import Design, ObservationSet, UniformBox
 from gpbudget.kernels import KernelSpec, cross_matrix, gram_matrix
 from gpbudget.learning_curve import rate_law
@@ -196,6 +196,35 @@ class TestLikelihoodGradient:
             fd.append((up - down) / (2 * step[k]))
         np.testing.assert_allclose(grad, fd, rtol=1e-5)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 1.5, 2.5],
+                             ids=["edge-0.5", "edge-1", "edge-2", "closed-1.5", "closed-2.5"])
+    def test_nu_entry_at_panel_edges_and_closed_forms(self, data, nu):
+        # the analytic nu entry against a central difference of the public value,
+        # at the edges of the nu panels and at the closed-form nu
+        design, z = data
+        p = np.array([nu, 0.3, 0.5, 0.4])
+        _, grad = _log_likelihood(p, _axis_distances(design.points), z - self.MEAN, self.NOISE, True)
+        h = 1e-5 * nu
+        up, down = (concentrated_log_likelihood([nu + sgn * h, *p[1:]], design, z, self.MEAN,
+                                                self.NOISE) for sgn in (1, -1))
+        assert grad[0] == pytest.approx((up - down) / (2 * h), rel=1e-5)
+
+    def test_raw_scoring_calls_no_kv_once_its_panels_exist(self, data, monkeypatch):
+        design, z = data
+        starts = np.random.default_rng(14).uniform(*np.array(default_bounds(2)).T, size=(40, 4))
+        for p in starts:  # builds the nu panels the starts need
+            concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return kernels.kv(*args)
+
+        monkeypatch.setattr(kernels, "kv", counting)
+        for p in starts:
+            concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
+        assert calls == []
+
     def test_polish_value_is_the_public_value(self, data):
         design, z = data
         pairs = _axis_distances(design.points)
@@ -261,6 +290,14 @@ class TestFitHyperparameters:
         design, z = self._data(n=8)
         with pytest.raises(ValueError, match="bounds"):
             fit_hyperparameters(design, z, noise=0.02, seed=1, bounds=[(0.5, 3.0)])
+
+    @pytest.mark.parametrize("nu_bounds", [(0.05, 3.0), (0.5, 16.5)], ids=["below", "above"])
+    def test_nu_bounds_outside_the_tables_rejected(self, nu_bounds):
+        design, z = self._data(n=8)
+        bounds = [nu_bounds, (0.05, 0.3), (0.1, 0.6)]
+        with pytest.raises(ValueError, match=r"nu bounds .* must lie within \[0.0625, 16"):
+            fit_hyperparameters(design, z, noise=0.02, seed=1, bounds=bounds,
+                                n_random=5, n_polish=1)
 
     def test_counts_validated(self):
         design, z = self._data(n=8)
