@@ -301,6 +301,7 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
         points, obs = load_observations_csv(cfg["data_csv"])
     except (OSError, ValueError) as e:
         raise ConfigError(f"fit.data_csv: {e}")
+    _bounded(len(points), MAX_POINTS, "fit.data_csv point count")
     design = Design(points, _bounding_box(points))
     if bounds is not None:
         try:
@@ -368,12 +369,14 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
             points, obs = load_observations_csv(cfg["data_csv"])
         except (OSError, ValueError) as e:
             raise ConfigError(f"allocate.data_csv: {e}")
+        _bounded(len(points), MAX_POINTS, "allocate.data_csv point count")
         noise = obs.noise_var * obs.s
     elif "points" in cfg:
         try:
             points = _as_points(cfg["points"], spec.dim)
         except ValueError as e:
             raise ConfigError(f"allocate.points: {e}")
+        _bounded(len(points), MAX_POINTS, "allocate.points count")
         if "sigma_eps2" not in cfg:
             raise ConfigError("allocate: inline points require sigma_eps2")
         noise = np.asarray(_numbers(cfg["sigma_eps2"], "allocate.sigma_eps2", n=len(points)))

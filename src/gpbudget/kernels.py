@@ -20,20 +20,18 @@ the uniform measure on [0, 1].  The stationary families take every
 ``pdist`` condensed upper triangle, which ``squareform`` mirrors.
 
 Matern at nu = 1/2, 3/2, 5/2 has closed forms.  Any other nu needs the
-Bessel factor 2^{1-nu}/Gamma(nu) u^nu K_mu(u) (mu = nu for the
-correlation, mu = nu - 1 for its lengthscale derivative), which is read
-from a piecewise Chebyshev interpolant in s = log u (Trefethen,
-*Approximation Theory and Approximation Practice*, ch. 3 and 8),
-evaluated entry by entry with Clenshaw's recurrence.  One table per
-(nu, mu) is built from a few hundred ``kv`` values at its nodes and kept
-in a small cache.  For mu = nu the tables are interpolated in nu as well:
-on geometric nu panels [2^k, 2^{k+1}] / 16, each built on first use from
-the tables at its Chebyshev points in nu, the table at any nu is a short
-sum, and the differentiated nu series gives the nu-derivative of the
-factor's logarithm that the likelihood gradient needs.  A nu outside the
-panels uses its own table.  Entries above the table's top, and every
-entry of a (nu, mu) whose table fails its own accuracy check, use ``kv``
-directly.
+Bessel factor F = 2^{1-nu}/Gamma(nu) u^nu K_nu(u): a piecewise Chebyshev
+interpolant of g(s) = u + log F in s = log u (Trefethen, *Approximation
+Theory and Approximation Practice*, ch. 3 and 8), evaluated entry by entry
+with Clenshaw's recurrence.  Its lengthscale derivative reads the same
+table: by d/du[u^nu K_nu] = -u^nu K_{nu-1} (Abramowitz & Stegun 9.6.28),
+2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u) = F (u - g'(s)), within 2e-11
+absolute.  The tables are interpolated in nu on geometric panels
+[2^k, 2^{k+1}] / 16, each built on first use from the tables at its
+Chebyshev points in nu; the differentiated nu series gives the
+nu-derivative of log F.  A nu outside the panels builds its own table
+from ``kv``, kept in a small cache.  Entries above the table's top, and
+every entry of a nu whose table fails its check, use ``kv`` directly.
 """
 
 from __future__ import annotations
@@ -77,7 +75,9 @@ _CHEB_DEGREE = 18
 _CHEB_TAIL_TOL = 1e-13
 _CHEB_S_LO = math.log(_MATERN_U_FLOOR)
 _CHEB_WIDTH = (math.log(_BESSEL_TABLE_TOP) - _CHEB_S_LO) / _CHEB_PANELS
-# For mu = nu the tables are interpolated in nu as well, on geometric panels
+# the s-derivative of a panel's series, with x = 2 (s - s_panel) / _CHEB_WIDTH - 1
+_CHEB_SLOPE = chebder(np.eye(_CHEB_DEGREE + 1), scl=2 / _CHEB_WIDTH)
+# The tables are interpolated in nu as well, on geometric panels
 # [2^k, 2^{k+1}] / 16 for k < _NU_PANELS at _NU_NODES Chebyshev points each:
 # the last series terms stay below 3e-14 and the factor within about 3e-13
 # of kv.  A ninth panel [16, 32] would need the tables that fail above 26.
@@ -175,12 +175,7 @@ def _matern_corr(r: np.ndarray, nu: float) -> np.ndarray:
         if round(half) == 3:
             return (1 + u) * np.exp(-u)
         return (1 + u + u * u / 3) * np.exp(-u)
-    out = np.ones_like(u)
-    mask = u > _MATERN_U_FLOOR
-    vals = _bessel_factor(u[mask], nu, nu)
-    # inf * 0 at the small-u end means the r -> 0 limit: correlation 1
-    out[mask] = np.where(np.isnan(vals), 1.0, vals)
-    return out
+    return _bessel_factor(u, nu)
 
 
 def _log_prefactor(s: np.ndarray, nu: float) -> np.ndarray:
@@ -216,13 +211,13 @@ def _tail_ok(coef: np.ndarray) -> bool:
     return bool(np.max(np.abs(coef[-2:])) <= _CHEB_TAIL_TOL)
 
 
-def _log_factor_coef(nu: float, mu: float) -> np.ndarray | None:
-    """Interpolant of g(s) = u + log(2^{1-nu}/Gamma(nu) u^nu K_mu(u)), s = log u.
+def _log_factor_coef(nu: float) -> np.ndarray | None:
+    """Interpolant of g(s) = u + log(2^{1-nu}/Gamma(nu) u^nu K_nu(u)), s = log u.
 
     Returns its Chebyshev coefficients, shape (degree + 1, panels).
     Fitting the logarithm makes the interpolation error a relative error
     of the factor everywhere, and keeps every node value finite where
-    e^u u^nu K_mu(u) would overflow.  Each panel interpolates at the
+    e^u u^nu K_nu(u) would overflow.  Each panel interpolates at the
     Chebyshev points of the second kind, so neighbouring panels share an
     end point and the interpolant is continuous.  The node values come
     from the module-level ``kv``.  None when the last two coefficients of
@@ -234,7 +229,7 @@ def _log_factor_coef(nu: float, mu: float) -> np.ndarray | None:
     s = np.append(s, _CHEB_S_LO + _CHEB_WIDTH * _CHEB_PANELS)
     u = np.exp(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = _log_prefactor(s, nu) + np.log(kv(mu, u)) + u
+        g = _log_prefactor(s, nu) + np.log(kv(nu, u)) + u
         coef = _cheb_transform(deg) @ g[deg * panels + np.arange(deg + 1)].T
     if not _tail_ok(coef):
         return None
@@ -243,14 +238,14 @@ def _log_factor_coef(nu: float, mu: float) -> np.ndarray | None:
 
 
 @lru_cache(maxsize=8)
-def _bessel_table(nu: float, mu: float) -> np.ndarray | None:
-    """The per-(nu, mu) table ``_log_factor_coef``, kept in a small cache."""
-    return _log_factor_coef(nu, mu)
+def _bessel_table(nu: float) -> np.ndarray | None:
+    """The per-nu table ``_log_factor_coef`` of a nu without a panel, kept in a small cache."""
+    return _log_factor_coef(nu)
 
 
 @lru_cache(maxsize=None)
 def _nu_panel(k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Chebyshev series in nu of the mu = nu table over nu panel k.
+    """Chebyshev series in nu of the table over nu panel k.
 
     Panel k is [2^k, 2^{k+1}] * _NU_PANEL_LO, mapped to x in [-1, 1].  Returns
     (A, dA), shape (_NU_NODES, table size) and one row less: coef(nu) =
@@ -260,7 +255,7 @@ def _nu_panel(k: int) -> tuple[np.ndarray, np.ndarray] | None:
     table fails its check, or the last two series terms exceed _CHEB_TAIL_TOL.
     """
     lo = _NU_PANEL_LO * 2.0**k
-    tables = [_log_factor_coef(nu, nu) for nu in lo * (1 + _cheb_points01(_NU_NODES - 1))]
+    tables = [_log_factor_coef(nu) for nu in lo * (1 + _cheb_points01(_NU_NODES - 1))]
     if any(t is None for t in tables):
         return None
     A = _cheb_transform(_NU_NODES - 1) @ np.reshape(tables, (_NU_NODES, -1))
@@ -273,7 +268,7 @@ def _nu_panel(k: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _nu_coef(nu: float, derivative: bool = False) -> np.ndarray | None:
-    """The mu = nu table at nu (or its nu-derivative) from nu's panel, or None
+    """The table at nu (or its nu-derivative) from nu's panel, or None
     when nu lies outside the panels or its panel failed its check."""
     # nu * 16 = frac * 2^e with frac in [0.5, 1): panel e - 1, at x = 4 frac - 3
     frac, e = math.frexp(nu / _NU_PANEL_LO)
@@ -327,32 +322,39 @@ def _clenshaw(coef: np.ndarray, idx: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return g
 
 
-def _cheb_exp(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """exp(g(log u) - u) at each u in the table's range."""
-    g = _clenshaw(coef, *_cheb_locate(u))
-    g -= u
-    return np.exp(g, out=g)
+def _bessel_factor(u: np.ndarray, nu: float, slope: bool = False) -> np.ndarray:
+    """F = 2^{1-nu}/Gamma(nu) u^nu K_nu(u) at scaled distances u >= 0, or with ``slope``
+    -u dF/du = 2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u).
 
-
-def _bessel_factor(um: np.ndarray, nu: float, mu: float) -> np.ndarray:
-    """2^{1-nu}/Gamma(nu) * um^nu * K_mu(um) for a 1-D array um > _MATERN_U_FLOOR.
-
-    Up to _BESSEL_TABLE_TOP from the mu = nu table of nu's panel, or else
-    from the per-(nu, mu) table; above it, or for every entry when neither
-    table passed its check, the direct ``kv`` formula, which is nan where
-    it meets inf * 0.
+    Both hold their u -> 0 limits, 1 and 0, up to _MATERN_U_FLOOR.  Then up to
+    _BESSEL_TABLE_TOP they come from nu's table: F = exp(g - u) and the slope
+    F (u - g'), with g' = dg/ds the differentiated series at the same entries.
+    Above it, or for every entry when nu has no table, the direct ``kv``
+    formula, whose inf * 0 at the small-u end is that limit too.
     """
-    coef = _nu_coef(nu) if mu == nu else None
+    coef = _nu_coef(nu)
     if coef is None:
-        coef = _bessel_table(float(nu), float(mu))
-    if coef is None:
-        return _matern_prefactor(um, nu) * kv(mu, um)
-    far = um > _BESSEL_TABLE_TOP
-    if not far.any():
-        return _cheb_exp(coef, um)
-    out = np.empty_like(um)
-    out[~far] = _cheb_exp(coef, um[~far])
-    out[far] = _matern_prefactor(um[far], nu) * kv(mu, um[far])
+        coef = _bessel_table(float(nu))
+    limit = 0.0 if slope else 1.0
+    out = np.full_like(u, limit)
+    far = u > (_BESSEL_TABLE_TOP if coef is not None else _MATERN_U_FLOOR)
+    if far.any():
+        uf = u[far]
+        direct = _matern_prefactor(uf, nu) * kv(nu - 1 if slope else nu, uf)
+        if slope:
+            direct *= uf
+        out[far] = np.where(np.isnan(direct), limit, direct)
+    # empty when nu has no table
+    near = (u > _MATERN_U_FLOOR) & ~far
+    if near.any():
+        un = u[near]
+        idx, x2 = _cheb_locate(un)
+        g = _clenshaw(coef, idx, x2)
+        g -= un
+        np.exp(g, out=g)
+        if slope:
+            g *= un - _clenshaw(_CHEB_SLOPE @ coef, idx, x2)
+        out[near] = g
     return out
 
 
@@ -379,18 +381,12 @@ def _matern_corr_dtheta(r: np.ndarray, nu: float, theta: float) -> np.ndarray:
     """Derivative in the lengthscale theta of _matern_corr(|dx| / theta, nu).
 
     With u = sqrt(2 nu) |dx| / theta and d/du[u^nu K_nu(u)] = -u^nu K_{nu-1}(u)
-    (Abramowitz & Stegun 9.6.28) this is pref * u * K_{nu-1}(u) / theta, for
-    every nu including the half-integer ones.  It is zero where the
-    correlation is held at 1.
+    (Abramowitz & Stegun 9.6.28) this is pref * u^{nu+1} * K_{nu-1}(u) / theta,
+    the slope of ``_bessel_factor``, for every nu including the half-integer
+    ones.  It is zero where the correlation is held at 1.
     """
     u = np.sqrt(2 * nu) * np.asarray(r, dtype=float)
-    out = np.zeros_like(u)
-    mask = u > _MATERN_U_FLOOR
-    um = u[mask]
-    vals = _bessel_factor(um, nu, nu - 1) * um / theta
-    # 0 * inf at the small-u end is the r -> 0 limit: slope 0
-    out[mask] = np.where(np.isnan(vals), 0.0, vals)
-    return out
+    return _bessel_factor(u, nu, slope=True) / theta
 
 
 def _parse_basis_id(basis_id: str) -> tuple[str, int]:

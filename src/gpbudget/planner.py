@@ -119,8 +119,9 @@ def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bo
     ``kv`` once that panel exists.  With ``gradient`` the result is (value,
     gradient), from the one Cholesky factorization: each entry is dL/dp =
     1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams 2006, eq.
-    5.9).  The lengthscale entries add one per-nu table for K_{nu-1}
-    (``kernels._matern_corr_dtheta``), and the nu entry is analytic: per axis
+    5.9).  The lengthscale entries read the slope from the same table, by
+    its differentiated log u series (``kernels._matern_corr_dtheta``), so
+    the gradient calls no ``kv`` either; the nu entry is analytic: per axis
     drho/dnu = rho * dg/dnu - (drho/dtheta) * theta / (2 nu), with dg/dnu
     from the differentiated nu series of the panel
     (``kernels._matern_log_factor_dnu``).

@@ -561,6 +561,11 @@ FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spe
     pytest.param("spectrum", dict(SPECTRUM_CFG, p=BIG), "spectrum.p", id="spectrum-p"),
     pytest.param("fit", {"n_random": BIG}, "fit.n_random", id="fit-n_random"),
     pytest.param("fit", {"n_polish": BIG}, "fit.n_polish", id="fit-n_polish"),
+    pytest.param("fit", {"rows": 10_001}, "fit.data_csv point count", id="fit-data_csv"),
+    pytest.param("allocate", dict(ALLOCATE_CSV_CFG, rows=10_001, T=20_000),
+                 "allocate.data_csv point count", id="allocate-data_csv"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, points=[[0.5]] * 10_001, sigma_eps2=0.01, T=20_000),
+                 "allocate.points count", id="allocate-points"),
     pytest.param("plan", dict(PLAN_CFG, curve_points=BIG), "plan.curve_points", id="plan-curve_points"),
     pytest.param("simulate", dict(SIM_CFG, design={"type": "lhs", "n": BIG}),
                  "simulate.design.n", id="simulate-n"),
@@ -600,10 +605,14 @@ FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spe
 ])
 def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     # every size is refused before anything of that size is allocated
-    if command == "fit":
+    if command == "fit" or "rows" in cfg:
+        # a data file: a fit's three points, or ``rows`` copies of one point
+        cfg = dict(cfg)
+        rows = (["0.5,1.0,2,0.01"] * cfg.pop("rows") if "rows" in cfg
+                else ["0.2,1.0,2,0.01", "0.5,1.5,2,0.01", "0.8,0.7,3,0.01"])
         data = tmp_path / "obs.csv"
-        data.write_text("x_1,z,s,sigma_eps2\n0.2,1.0,2,0.01\n0.5,1.5,2,0.01\n0.8,0.7,3,0.01\n")
-        cfg = dict(cfg, data_csv=str(data))
+        data.write_text("\n".join(["x_1,z,s,sigma_eps2", *rows]) + "\n")
+        cfg["data_csv"] = str(data)
     rc, out = run_cli(command, tmp_path, cfg)
     assert rc == 2
     err = capsys.readouterr().err

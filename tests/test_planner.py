@@ -225,6 +225,25 @@ class TestLikelihoodGradient:
             concentrated_log_likelihood(p, design, z, self.MEAN, self.NOISE)
         assert calls == []
 
+    def test_gradient_calls_no_kv_once_its_panels_exist(self, data, monkeypatch):
+        # the lengthscale entries read the slope from nu's own table, so a
+        # polish step at a new nu builds nothing once that nu's panel exists
+        design, z = data
+        dists, resid = _axis_distances(design.points), z - self.MEAN
+        starts = np.random.default_rng(15).uniform(*np.array(default_bounds(2)).T, size=(40, 4))
+        for p in starts:  # builds the nu panels the starts need
+            _log_likelihood(p, dists, resid, self.NOISE, True)
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return kernels.kv(*args)
+
+        monkeypatch.setattr(kernels, "kv", counting)
+        for p in starts:
+            _log_likelihood(p, dists, resid, self.NOISE, True)
+        assert calls == []
+
     def test_polish_value_is_the_public_value(self, data):
         design, z = data
         pairs = _axis_distances(design.points)
