@@ -23,15 +23,17 @@ Matern at nu = 1/2, 3/2, 5/2 has closed forms.  Any other nu needs the
 Bessel factor F = 2^{1-nu}/Gamma(nu) u^nu K_nu(u): a piecewise Chebyshev
 interpolant of g(s) = u + log F in s = log u (Trefethen, *Approximation
 Theory and Approximation Practice*, ch. 3 and 8), evaluated entry by entry
-with Clenshaw's recurrence.  Its lengthscale derivative reads the same
-table: by d/du[u^nu K_nu] = -u^nu K_{nu-1} (Abramowitz & Stegun 9.6.28),
-2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u) = F (u - g'(s)), within 2e-11
-absolute.  The tables are interpolated in nu on geometric panels
-[2^k, 2^{k+1}] / 16, each built on first use from the tables at its
-Chebyshev points in nu; the differentiated nu series gives the
-nu-derivative of log F.  A nu outside the panels builds its own table
-from ``kv``, kept in a small cache.  Entries above the table's top, and
-every entry of a nu whose table fails its check, use ``kv`` directly.
+with Clenshaw's recurrence.  The tables are interpolated in nu on
+geometric panels [2^k, 2^{k+1}] / 16, each built on first use from the
+tables at its Chebyshev points in nu.  ``_matern_corr`` with ``gradient``
+also returns the lengthscale slope and the nu-derivative of log F, read
+at the same located entries in one Clenshaw pass over g's series
+stacked with two more: g' = dg/ds, since by d/du[u^nu K_nu] = -u^nu
+K_{nu-1} (Abramowitz & Stegun 9.6.28) 2^{1-nu}/Gamma(nu) u^{nu+1}
+K_{nu-1}(u) = F (u - g'(s)), and the differentiated nu series.  A nu
+outside the panels builds its own table from ``kv``, kept in a small
+cache, and has no gradient.  Entries above the table's top, and every
+entry of a nu whose table fails its check, use ``kv`` directly.
 """
 
 from __future__ import annotations
@@ -165,17 +167,25 @@ class KernelSpec:
         return cls(**kwargs)
 
 
-def _matern_corr(r: np.ndarray, nu: float) -> np.ndarray:
-    """Matern correlation of scaled distance r >= 0 for regularity nu."""
+def _matern_corr(r: np.ndarray, nu: float, gradient: bool = False):
+    """Matern correlation rho of scaled distance r >= 0 for regularity nu.
+
+    With ``gradient`` the triple (rho, S, D) of ``_bessel_factor``, with rho
+    from the closed form at nu = 1/2, 3/2, 5/2: S = -u dF/du is theta times
+    the derivative of rho(|dx| / theta) in the lengthscale theta, and D is
+    d log F / d nu at fixed u = sqrt(2 nu) r.
+    """
     u = np.sqrt(2 * nu) * np.asarray(r, dtype=float)
     half = 2 * nu
     if abs(half - round(half)) < 1e-12 and round(half) in (1, 3, 5):
         if round(half) == 1:
-            return np.exp(-u)
-        if round(half) == 3:
-            return (1 + u) * np.exp(-u)
-        return (1 + u + u * u / 3) * np.exp(-u)
-    return _bessel_factor(u, nu)
+            rho = np.exp(-u)
+        elif round(half) == 3:
+            rho = (1 + u) * np.exp(-u)
+        else:
+            rho = (1 + u + u * u / 3) * np.exp(-u)
+        return (rho, *_bessel_factor(u, nu, True)[1:]) if gradient else rho
+    return _bessel_factor(u, nu, gradient)
 
 
 def _log_prefactor(s: np.ndarray, nu: float) -> np.ndarray:
@@ -299,12 +309,15 @@ def _cheb_locate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _clenshaw(coef: np.ndarray, idx: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """The table's series at the located entries (``_cheb_locate``), by Clenshaw's recurrence.
 
-    Only elementwise operations, so an entry's value does not depend on
-    the other entries; each step gathers one coefficient per entry, so no
-    array larger than the entries is made.  The gathers use mode="clip"
-    (every index is in range), which writes to ``out`` unbuffered.
+    ``coef`` is one table, (degree + 1, panels), or a stack of tables,
+    (degree + 1, series, panels): the gathers run along the last axis, so
+    a stack gives every series at once, shape (series, entries).  Only
+    elementwise operations, so an entry's value does not depend on the
+    other entries or series; each step gathers one coefficient per entry
+    and series, so no array larger than that is made.  The gathers use
+    mode="clip" (every index is in range), which writes to ``out`` unbuffered.
     """
-    b1 = coef[-1].take(idx, mode="clip")
+    b1 = coef[-1].take(idx, axis=-1, mode="clip")
     b2 = np.zeros_like(b1)
     step = np.empty_like(b1)
     c = np.empty_like(b1)
@@ -312,81 +325,65 @@ def _clenshaw(coef: np.ndarray, idx: np.ndarray, x2: np.ndarray) -> np.ndarray:
         # b_k = c_k + 2x b_{k+1} - b_{k+2}
         np.multiply(x2, b1, out=step)
         step -= b2
-        step += row.take(idx, out=c, mode="clip")
+        step += row.take(idx, axis=-1, out=c, mode="clip")
         b2, b1, step = b1, step, b2
     # g = c_0 + x b_1 - b_2
     g = np.multiply(x2, 0.5, out=step)
     g *= b1
     g -= b2
-    g += coef[0].take(idx, out=c, mode="clip")
+    g += coef[0].take(idx, axis=-1, out=c, mode="clip")
     return g
 
 
-def _bessel_factor(u: np.ndarray, nu: float, slope: bool = False) -> np.ndarray:
-    """F = 2^{1-nu}/Gamma(nu) u^nu K_nu(u) at scaled distances u >= 0, or with ``slope``
-    -u dF/du = 2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u).
+def _bessel_factor(u: np.ndarray, nu: float, gradient: bool = False):
+    """F = 2^{1-nu}/Gamma(nu) u^nu K_nu(u) at scaled distances u >= 0, or with
+    ``gradient`` the triple (F, S, D): S = -u dF/du = 2^{1-nu}/Gamma(nu)
+    u^{nu+1} K_{nu-1}(u) and D = d log F / d nu at fixed u.
 
-    Both hold their u -> 0 limits, 1 and 0, up to _MATERN_U_FLOOR.  Then up to
-    _BESSEL_TABLE_TOP they come from nu's table: F = exp(g - u) and the slope
-    F (u - g'), with g' = dg/ds the differentiated series at the same entries.
-    Above it, or for every entry when nu has no table, the direct ``kv``
-    formula, whose inf * 0 at the small-u end is that limit too.
+    Each holds its u -> 0 limit, 1 or 0, up to _MATERN_U_FLOOR.  Then up to
+    _BESSEL_TABLE_TOP they come from nu's table, located once: F = exp(g - u),
+    S = F (u - g') and D = dg/dnu, from one Clenshaw pass over the series
+    of g, g' = dg/ds and dg/dnu.  Above it, or for every entry when nu has
+    no table, F and S come from the direct ``kv`` formula, whose inf * 0 at
+    the small-u end is F's limit too, and D is 0, where F D is below
+    1e-300.  ``gradient`` needs a nu inside ``NU_RANGE``, else ValueError.
     """
     coef = _nu_coef(nu)
-    if coef is None:
+    if gradient:
+        if coef is None:
+            raise ValueError(f"nu = {nu} is outside the nu range [{NU_RANGE[0]}, {NU_RANGE[1]}] "
+                             "of the Bessel tables")
+        # g' is one degree lower: its zero top row leaves Clenshaw's sum unchanged
+        slope = np.vstack([_CHEB_SLOPE @ coef, np.zeros(_CHEB_PANELS)])
+        coef = np.stack([coef, slope, _nu_coef(nu, derivative=True)], axis=1)
+    elif coef is None:
         coef = _bessel_table(float(nu))
-    limit = 0.0 if slope else 1.0
-    out = np.full_like(u, limit)
+    F = np.ones_like(u)
+    if gradient:
+        S, D = np.zeros_like(u), np.zeros_like(u)
     far = u > (_BESSEL_TABLE_TOP if coef is not None else _MATERN_U_FLOOR)
     if far.any():
         uf = u[far]
-        direct = _matern_prefactor(uf, nu) * kv(nu - 1 if slope else nu, uf)
-        if slope:
-            direct *= uf
-        out[far] = np.where(np.isnan(direct), limit, direct)
+        pref = _matern_prefactor(uf, nu)
+        with np.errstate(invalid="ignore"):
+            direct = pref * kv(nu, uf)
+        F[far] = np.where(np.isnan(direct), 1.0, direct)
+        if gradient:
+            # above the table's top, so no inf * 0
+            S[far] = pref * kv(nu - 1, uf) * uf
     # empty when nu has no table
     near = (u > _MATERN_U_FLOOR) & ~far
     if near.any():
         un = u[near]
-        idx, x2 = _cheb_locate(un)
-        g = _clenshaw(coef, idx, x2)
-        g -= un
-        np.exp(g, out=g)
-        if slope:
-            g *= un - _clenshaw(_CHEB_SLOPE @ coef, idx, x2)
-        out[near] = g
-    return out
-
-
-def _matern_log_factor_dnu(r: np.ndarray, nu: float) -> np.ndarray:
-    """d/dnu of log(2^{1-nu}/Gamma(nu) u^nu K_nu(u)) at fixed u = sqrt(2 nu) r.
-
-    Read from the differentiated series of nu's panel.  It is zero where
-    the correlation is held at 1 and above _BESSEL_TABLE_TOP, where the
-    correlation times it is below 1e-300.  ValueError for a nu outside
-    the panels.
-    """
-    dcoef = _nu_coef(nu, derivative=True)
-    if dcoef is None:
-        raise ValueError(f"nu = {nu} is outside the nu range [{NU_RANGE[0]}, {NU_RANGE[1]}] "
-                         "of the Bessel tables")
-    u = np.sqrt(2 * nu) * np.asarray(r, dtype=float)
-    out = np.zeros_like(u)
-    mask = (u > _MATERN_U_FLOOR) & (u <= _BESSEL_TABLE_TOP)
-    out[mask] = _clenshaw(dcoef, *_cheb_locate(u[mask]))
-    return out
-
-
-def _matern_corr_dtheta(r: np.ndarray, nu: float, theta: float) -> np.ndarray:
-    """Derivative in the lengthscale theta of _matern_corr(|dx| / theta, nu).
-
-    With u = sqrt(2 nu) |dx| / theta and d/du[u^nu K_nu(u)] = -u^nu K_{nu-1}(u)
-    (Abramowitz & Stegun 9.6.28) this is pref * u^{nu+1} * K_{nu-1}(u) / theta,
-    the slope of ``_bessel_factor``, for every nu including the half-integer
-    ones.  It is zero where the correlation is held at 1.
-    """
-    u = np.sqrt(2 * nu) * np.asarray(r, dtype=float)
-    return _bessel_factor(u, nu, slope=True) / theta
+        g = _clenshaw(coef, *_cheb_locate(un))
+        Fn = g[0] if gradient else g
+        Fn -= un
+        np.exp(Fn, out=Fn)
+        F[near] = Fn
+        if gradient:
+            S[near] = Fn * (un - g[1])
+            D[near] = g[2]
+    return (F, S, D) if gradient else F
 
 
 def _parse_basis_id(basis_id: str) -> tuple[str, int]:

@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import pdist, squareform
 
 from .gp_core import Design, ObservationSet
-from .kernels import NU_RANGE, _matern_corr, _matern_corr_dtheta, _matern_log_factor_dnu
+from .kernels import NU_RANGE, _matern_corr
 from .learning_curve import RateLaw
 
 DEFAULT_N_RANDOM = 10000
@@ -119,18 +119,18 @@ def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bo
     ``kv`` once that panel exists.  With ``gradient`` the result is (value,
     gradient), from the one Cholesky factorization: each entry is dL/dp =
     1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams 2006, eq.
-    5.9).  The lengthscale entries read the slope from the same table, by
-    its differentiated log u series (``kernels._matern_corr_dtheta``), so
-    the gradient calls no ``kv`` either; the nu entry is analytic: per axis
-    drho/dnu = rho * dg/dnu - (drho/dtheta) * theta / (2 nu), with dg/dnu
-    from the differentiated nu series of the panel
-    (``kernels._matern_log_factor_dnu``).
+    5.9).  Each axis reads its correlation rho, slope S = theta drho/dtheta
+    and D = dg/dnu from one located pass over the same table
+    (``kernels._matern_corr`` with ``gradient``), so the gradient calls no
+    ``kv`` either; the nu entry is analytic: per axis drho/dnu = rho * D -
+    (drho/dtheta) * theta / (2 nu).
     """
     params = np.asarray(params, dtype=float)
     nu, theta, sigma2 = float(params[0]), params[1:-1], float(params[-1])
     n = len(resid)
     scaled = [dj / float(t) for dj, t in zip(dists, theta)]
-    factors = [_matern_corr(rj, nu) for rj in scaled]
+    axes = [_matern_corr(rj, nu, gradient) for rj in scaled]
+    factors = [rho for rho, _, _ in axes] if gradient else axes
     corr = reduce(np.multiply, factors)
     C = sigma2 * (squareform(corr) + np.eye(n)) + noise * np.eye(n)
     c, low = cho_factor(C, lower=True)
@@ -147,11 +147,11 @@ def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bo
     # r = 0 for every nu), so their trace terms are sums over i < k
     dcorr_dnu = 0.0
     grad_theta = []
-    for j, (rj, t) in enumerate(zip(scaled, theta)):
+    for j, ((rho, S, D), t) in enumerate(zip(axes, theta)):
         others = reduce(np.multiply, [f for k, f in enumerate(factors) if k != j], 1.0)
-        slope = _matern_corr_dtheta(rj, nu, float(t))
+        slope = S / float(t)
         grad_theta.append(sigma2 * float(np.dot(w, slope * others)))
-        dfactor_dnu = factors[j] * _matern_log_factor_dnu(rj, nu) - slope * (float(t) / (2 * nu))
+        dfactor_dnu = rho * D - slope * (float(t) / (2 * nu))
         dcorr_dnu = dcorr_dnu + dfactor_dnu * others
     grad = [sigma2 * float(np.dot(w, dcorr_dnu)), *grad_theta]
     grad.append(0.5 * float(np.trace(W)) + float(np.dot(w, corr)))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,8 @@ from gpbudget.kernels import (
     NU_RANGE,
     _bessel_factor,
     _bessel_table,
-    _matern_log_factor_dnu,
     _nu_panel,
     _matern_corr,
-    _matern_corr_dtheta,
     cross_matrix,
     gram_matrix,
     kernel_diag,
@@ -368,30 +367,33 @@ class TestMaternLengthscaleDerivative:
         dx, theta = np.array([1e-3, 0.02, 0.3, 1.1, 4.0]), 0.4
         h = 1e-6 * theta
         fd = (_matern_corr(dx / (theta + h), nu) - _matern_corr(dx / (theta - h), nu)) / (2 * h)
-        got = _matern_corr_dtheta(dx / theta, nu, theta)
+        got = _matern_corr(dx / theta, nu, True)[1] / theta
         # the difference quotient of values near 1 carries ~eps/h = 5e-10 rounding
         np.testing.assert_allclose(got, fd, rtol=1e-6, atol=5e-9)
 
     def test_exponential_closed_form(self):
         # nu = 1/2: rho = exp(-r), so d rho / d theta = r exp(-r) / theta
         r, theta = np.array([0.1, 1.0, 3.0]), 0.7
-        np.testing.assert_allclose(_matern_corr_dtheta(r, 0.5, theta),
+        np.testing.assert_allclose(_matern_corr(r, 0.5, True)[1] / theta,
                                    r * np.exp(-r) / theta, rtol=1e-13)
 
     def test_zero_at_coincident_points(self):
-        assert np.array_equal(_matern_corr_dtheta(np.array([0.0, 1e-12]), 1.31, 0.3), [0.0, 0.0])
+        assert np.array_equal(_matern_corr(np.array([0.0, 1e-12]), 1.31, True)[1], [0.0, 0.0])
 
     @pytest.mark.parametrize("nu", [0.05, 1 / 16, 0.3, 0.8, 1.0, 1.31, 2.7071, 5.3, 7.9, 16.0, 20.0])
     def test_matches_kv_per_entry(self, nu):
-        # theta * slope = 2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u), read from nu's own
-        # table: its error is absolute (~1e-11), so at small u, where the slope is
-        # about u^2, only atol holds
-        theta = 0.4
+        # S = 2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u), read from nu's panel: its
+        # error is absolute (~1e-11), so at small u, where the slope is about u^2,
+        # only atol holds.  A nu outside the panels has no slope.
         u = np.exp(np.random.default_rng(32).uniform(math.log(1e-10), math.log(690.0), 400))
         r = u / math.sqrt(2 * nu)
+        if not NU_RANGE[0] <= nu <= NU_RANGE[1]:
+            with pytest.raises(ValueError, match="outside the nu range"):
+                _matern_corr(r, nu, True)
+            return
         u = math.sqrt(2 * nu) * r
         want = _direct_bessel_factor(u, nu, nu - 1) * u
-        got = theta * _matern_corr_dtheta(r, nu, theta)
+        got = _matern_corr(r, nu, True)[1]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=2e-11)
 
 
@@ -413,16 +415,25 @@ class TestBesselTable:
 
     def test_failed_check_falls_back_to_kv(self):
         # kv overflows at the table's small-u nodes for this nu
-        nu, theta = 30.7, 0.4
+        nu = 30.7
         assert _bessel_table(nu) is None
         r = np.array([0.0, 1e-12, 1e-8, 1e-3, 0.4, 2.5, 40.0, 200.0])
         u = math.sqrt(2 * nu) * r
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(u > 1e-10, _direct_bessel_factor(u, nu, nu), 1.0)
-            slope = np.where(u > 1e-10, _direct_bessel_factor(u, nu, nu - 1) * u / theta, 0.0)
             assert np.array_equal(_matern_corr(r, nu), np.where(np.isnan(corr), 1.0, corr))
-            assert np.array_equal(_matern_corr_dtheta(r, nu, theta),
-                                  np.where(np.isnan(slope), 0.0, slope))
+        # outside the panels, so no slope
+        with pytest.raises(ValueError, match="outside the nu range"):
+            _matern_corr(r, nu, True)
+
+    def test_direct_kv_path_is_silent_near_the_floor(self):
+        # with no table, just above the floor the prefactor underflows to 0 and kv
+        # overflows to inf; their product is the u -> 0 limit, and no warning
+        nu = 30.7
+        r = np.array([1.1e-10, 3e-10, 5.5e-10]) / math.sqrt(2 * nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_matern_corr(r, nu), [1.0, 1.0, 1.0])
 
     def test_above_the_table_uses_kv(self):
         nu = 1.31
@@ -431,6 +442,23 @@ class TestBesselTable:
         far = u > 690.0
         assert np.array_equal(got[far], _direct_bessel_factor(u[far], nu, nu))
         np.testing.assert_allclose(got[~far], _direct_bessel_factor(u[~far], nu, nu), rtol=1e-12)
+
+
+class TestMaternGradientTriple:
+    """_matern_corr with gradient: the value of the triple is the value path's."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1 / 16, 1.31, 2.7071, 16.0])
+    def test_value_is_bitwise_the_value_path(self, nu):
+        # held entries (u <= 1e-10), table entries and entries above the table's top
+        u = np.concatenate([[0.0, 1e-12, 5e-11],
+                            np.exp(np.random.default_rng(33).uniform(math.log(2e-10),
+                                                                     math.log(680.0), 300)),
+                            [700.0, 750.0, 1000.0]])
+        r = u / math.sqrt(2 * nu)
+        rho, S, D = _matern_corr(r, nu, True)
+        assert np.array_equal(rho, _matern_corr(r, nu))
+        # the u -> 0 limits, and no nu-derivative above the table's top
+        assert not S[:3].any() and not D[:3].any() and not D[-3:].any()
 
 
 class TestNuPanels:
@@ -449,15 +477,15 @@ class TestNuPanels:
         h = 1e-5 * nu
         fd = (np.log(_direct_bessel_factor(u, nu + h, nu + h))
               - np.log(_direct_bessel_factor(u, nu - h, nu - h))) / (2 * h)
-        np.testing.assert_allclose(_matern_log_factor_dnu(r, nu), fd, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(_matern_corr(r, nu, True)[2], fd, rtol=1e-6, atol=1e-8)
 
     def test_log_factor_dnu_is_zero_where_the_correlation_is_held(self):
-        assert np.array_equal(_matern_log_factor_dnu(np.array([0.0, 1e-12]), 1.31), [0.0, 0.0])
+        assert np.array_equal(_matern_corr(np.array([0.0, 1e-12]), 1.31, True)[2], [0.0, 0.0])
 
     @pytest.mark.parametrize("nu", [0.05, 16.01, 20.0])
     def test_log_factor_dnu_outside_the_panels_raises(self, nu):
         with pytest.raises(ValueError, match="outside the nu range"):
-            _matern_log_factor_dnu(np.array([0.5]), nu)
+            _matern_corr(np.array([0.5]), nu, True)
 
     def test_outside_the_panels_the_per_nu_table_is_used(self):
         for nu in (0.05, 20.0):

@@ -244,6 +244,24 @@ class TestLikelihoodGradient:
             _log_likelihood(p, dists, resid, self.NOISE, True)
         assert calls == []
 
+    def test_gradient_locates_each_axis_once(self, data, monkeypatch):
+        # each axis reads its value, slope and nu-derivative from one located pass
+        design, z = data
+        dists, resid = _axis_distances(design.points), z - self.MEAN
+        p = np.array([1.31, 0.3, 0.5, 0.4])
+        counts = {"_cheb_locate": 0, "_clenshaw": 0}
+        for name in counts:
+            def counting(*args, name=name, f=getattr(kernels, name)):
+                counts[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(kernels, name, counting)
+        _log_likelihood(p, dists, resid, self.NOISE, True)
+        assert counts == {"_cheb_locate": 2, "_clenshaw": 2}
+        counts.update(dict.fromkeys(counts, 0))
+        _log_likelihood(p, dists, resid, self.NOISE)
+        assert counts == {"_cheb_locate": 2, "_clenshaw": 2}
+
     def test_polish_value_is_the_public_value(self, data):
         design, z = data
         pairs = _axis_distances(design.points)
