@@ -108,6 +108,15 @@ def _pairs(val, name: str) -> list[tuple]:
     return pairs
 
 
+def _points(val, dim: int, name: str) -> np.ndarray:
+    """A config list of points of dimension ``dim`` (``_as_points``)."""
+    pts = _typed_override([], val, name)
+    try:
+        return _as_points(pts, dim)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{name}: {e}")
+
+
 def _grid_count(value, cap: float, name: str) -> int:
     """A trapezoid grid's node count per axis: a size (``_bounded``) of at least 2."""
     m = _bounded(value, cap, name)
@@ -176,7 +185,9 @@ def _parse_measure(obj, context: str, dim: int) -> Quadrature:
             _bounded(n_nodes, MAX_NODES, "the node count")
             quad = Quadrature.tensor_trapezoid(counts, bounds)
         elif kind == "explicit":
-            quad = Quadrature(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
+            nodes, weights = (_typed_override([], obj[k], k) for k in ("nodes", "weights"))
+            _bounded(len(nodes), MAX_NODES, "the node count")
+            quad = Quadrature(np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float))
         else:
             raise ConfigError(f"unknown measure type {kind!r}")
     except (KeyError, ValueError, TypeError) as e:
@@ -372,10 +383,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
         _bounded(len(points), MAX_POINTS, "allocate.data_csv point count")
         noise = obs.noise_var * obs.s
     elif "points" in cfg:
-        try:
-            points = _as_points(cfg["points"], spec.dim)
-        except ValueError as e:
-            raise ConfigError(f"allocate.points: {e}")
+        points = _points(cfg["points"], spec.dim, "allocate.points")
         _bounded(len(points), MAX_POINTS, "allocate.points count")
         if "sigma_eps2" not in cfg:
             raise ConfigError("allocate: inline points require sigma_eps2")
@@ -425,7 +433,7 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
         n = _bounded(dcfg["n"], MAX_POINTS, "simulate.design.n")
         design = latin_hypercube_design(n, sim.dim, seed)
     elif dcfg["type"] == "points":
-        points = np.asarray(dcfg["points"], dtype=float)
+        points = _points(dcfg["points"], sim.dim, "simulate.design.points")
         _bounded(len(points), MAX_POINTS, "simulate.design.points count")
         design = Design(points, UniformBox(tuple((0.0, 1.0) for _ in range(sim.dim))))
     else:

@@ -25,15 +25,15 @@ interpolant of g(s) = u + log F in s = log u (Trefethen, *Approximation
 Theory and Approximation Practice*, ch. 3 and 8), evaluated entry by entry
 with Clenshaw's recurrence.  The tables are interpolated in nu on
 geometric panels [2^k, 2^{k+1}] / 16, each built on first use from the
-tables at its Chebyshev points in nu.  ``_matern_corr`` with ``gradient``
-also returns the lengthscale slope and the nu-derivative of log F, read
-at the same located entries in one Clenshaw pass over g's series
-stacked with two more: g' = dg/ds, since by d/du[u^nu K_nu] = -u^nu
-K_{nu-1} (Abramowitz & Stegun 9.6.28) 2^{1-nu}/Gamma(nu) u^{nu+1}
-K_{nu-1}(u) = F (u - g'(s)), and the differentiated nu series.  A nu
-outside the panels builds its own table from ``kv``, kept in a small
-cache, and has no gradient.  Entries above the table's top, and every
-entry of a nu whose table fails its check, use ``kv`` directly.
+tables at its Chebyshev points in nu, whose node values come from one
+``kv`` call.  ``_matern_corr`` with ``gradient`` also returns the
+lengthscale slope and the nu-derivative of log F, read at the same
+located entries in one Clenshaw pass over g's series stacked with two
+more: g' = dg/ds, since by d/du[u^nu K_nu] = -u^nu K_{nu-1} (Abramowitz
+& Stegun 9.6.28) 2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u) = F (u - g'(s)),
+and the differentiated nu series.  Entries above the table's top, and
+every entry of a nu without a panel, use ``kv`` directly; such a nu has
+no gradient.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ _MATERN_U_FLOOR = 1e-10
 # The Bessel table spans log u from the floor to _BESSEL_TABLE_TOP, where
 # the correlation is about 1e-301 (kv itself underflows to 0 from about
 # u = 697.9).  24 panels (1.23 wide in log u) of degree 18 keep the last
-# Chebyshev coefficients near 1e-14 for nu up to about 26: 433 kv values
-# per table.  Above that nu, kv overflows at the small-u nodes and the
-# check fails.
+# Chebyshev coefficients near 1e-14 for nu up to about 26: 433 nodes in u.
+# Above that nu, kv overflows at the small-u nodes and the check fails.
 _BESSEL_TABLE_TOP = 690.0
 _CHEB_PANELS = 24
 _CHEB_DEGREE = 18
@@ -193,11 +192,6 @@ def _log_prefactor(s: np.ndarray, nu: float) -> np.ndarray:
     return (1 - nu) * np.log(2.0) - gammaln(nu) + nu * s
 
 
-def _matern_prefactor(um: np.ndarray, nu: float) -> np.ndarray:
-    """2^{1-nu}/Gamma(nu) * u^nu, in log space so it stays finite for large nu."""
-    return np.exp(_log_prefactor(np.log(um), nu))
-
-
 @lru_cache(maxsize=None)
 def _cheb_transform(deg: int) -> np.ndarray:
     """Map from the values at the deg + 1 ascending Chebyshev points of the second
@@ -221,55 +215,37 @@ def _tail_ok(coef: np.ndarray) -> bool:
     return bool(np.max(np.abs(coef[-2:])) <= _CHEB_TAIL_TOL)
 
 
-def _log_factor_coef(nu: float) -> np.ndarray | None:
-    """Interpolant of g(s) = u + log(2^{1-nu}/Gamma(nu) u^nu K_nu(u)), s = log u.
+@lru_cache(maxsize=None)
+def _nu_panel(k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Chebyshev series in nu of the table over nu panel k.
 
-    Returns its Chebyshev coefficients, shape (degree + 1, panels).
-    Fitting the logarithm makes the interpolation error a relative error
-    of the factor everywhere, and keeps every node value finite where
-    e^u u^nu K_nu(u) would overflow.  Each panel interpolates at the
-    Chebyshev points of the second kind, so neighbouring panels share an
-    end point and the interpolant is continuous.  The node values come
-    from the module-level ``kv``.  None when the last two coefficients of
-    some panel exceed _CHEB_TAIL_TOL, or are not finite.
+    A table is the interpolant of g(s) = u + log F in s = log u: Chebyshev
+    coefficients, shape (degree + 1, u panels), at the Chebyshev points of
+    the second kind of each u panel, so neighbouring panels share an end
+    point.  In log form the error is relative in F, and every node value
+    stays finite where e^u u^nu K_nu(u) would overflow.
+
+    Panel k is [2^k, 2^{k+1}] * _NU_PANEL_LO, mapped to x in [-1, 1]; one
+    ``kv`` call gives the node values of the tables at its _NU_NODES
+    Chebyshev points in nu.  Returns (A, dA), shape (_NU_NODES, table size)
+    and one row less: coef(nu) = sum_m A_m T_m(x) and d coef/dnu = sum_m
+    dA_m T_m(x), the differentiated series (``chebder``) times dx/dnu.
+    None when the last two coefficients of some node's u panel, or of the
+    nu series, exceed _CHEB_TAIL_TOL or are not finite.
     """
     deg = _CHEB_DEGREE
     panels = np.arange(_CHEB_PANELS)[:, None]
     s = (_CHEB_S_LO + _CHEB_WIDTH * (panels + _cheb_points01(deg)[:-1])).ravel()
     s = np.append(s, _CHEB_S_LO + _CHEB_WIDTH * _CHEB_PANELS)
     u = np.exp(s)
+    lo = _NU_PANEL_LO * 2.0**k
+    nu = lo * (1 + _cheb_points01(_NU_NODES - 1))[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = _log_prefactor(s, nu) + np.log(kv(nu, u)) + u
-        coef = _cheb_transform(deg) @ g[deg * panels + np.arange(deg + 1)].T
-    if not _tail_ok(coef):
-        return None
-    coef.flags.writeable = False
-    return coef
-
-
-@lru_cache(maxsize=8)
-def _bessel_table(nu: float) -> np.ndarray | None:
-    """The per-nu table ``_log_factor_coef`` of a nu without a panel, kept in a small cache."""
-    return _log_factor_coef(nu)
-
-
-@lru_cache(maxsize=None)
-def _nu_panel(k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Chebyshev series in nu of the table over nu panel k.
-
-    Panel k is [2^k, 2^{k+1}] * _NU_PANEL_LO, mapped to x in [-1, 1].  Returns
-    (A, dA), shape (_NU_NODES, table size) and one row less: coef(nu) =
-    sum_m A_m T_m(x) and d coef/dnu = sum_m dA_m T_m(x), the differentiated
-    series (``chebder``) times dx/dnu.  Built from ``_log_factor_coef`` at
-    the panel's _NU_NODES Chebyshev points on first use.  None when a node's
-    table fails its check, or the last two series terms exceed _CHEB_TAIL_TOL.
-    """
-    lo = _NU_PANEL_LO * 2.0**k
-    tables = [_log_factor_coef(nu) for nu in lo * (1 + _cheb_points01(_NU_NODES - 1))]
-    if any(t is None for t in tables):
-        return None
-    A = _cheb_transform(_NU_NODES - 1) @ np.reshape(tables, (_NU_NODES, -1))
-    if not _tail_ok(A):
+        # (node, degree + 1, u panel): each node's table
+        tables = _cheb_transform(deg) @ g[:, deg * panels + np.arange(deg + 1)].swapaxes(1, 2)
+        A = _cheb_transform(_NU_NODES - 1) @ tables.reshape(_NU_NODES, -1)
+    if not (_tail_ok(tables.swapaxes(0, 1)) and _tail_ok(A)):
         return None
     # x = 2 nu / lo - 3 on panel k, so dx/dnu = 2 / lo
     dA = chebder(A) * (2.0 / lo)
@@ -341,12 +317,13 @@ def _bessel_factor(u: np.ndarray, nu: float, gradient: bool = False):
     u^{nu+1} K_{nu-1}(u) and D = d log F / d nu at fixed u.
 
     Each holds its u -> 0 limit, 1 or 0, up to _MATERN_U_FLOOR.  Then up to
-    _BESSEL_TABLE_TOP they come from nu's table, located once: F = exp(g - u),
-    S = F (u - g') and D = dg/dnu, from one Clenshaw pass over the series
-    of g, g' = dg/ds and dg/dnu.  Above it, or for every entry when nu has
-    no table, F and S come from the direct ``kv`` formula, whose inf * 0 at
-    the small-u end is F's limit too, and D is 0, where F D is below
-    1e-300.  ``gradient`` needs a nu inside ``NU_RANGE``, else ValueError.
+    _BESSEL_TABLE_TOP they come from the table nu's panel interpolates at
+    nu, located once: F = exp(g - u), S = F (u - g') and D = dg/dnu, from
+    one Clenshaw pass over the series of g, g' = dg/ds and dg/dnu.  Above
+    it, or for every entry when nu has no panel, F and S come from the
+    direct ``kv`` formula, whose inf * 0 at the small-u end is F's limit
+    too, and D is 0, where F D is below 1e-300.  ``gradient`` needs a nu
+    inside ``NU_RANGE``, else ValueError.
     """
     coef = _nu_coef(nu)
     if gradient:
@@ -356,22 +333,21 @@ def _bessel_factor(u: np.ndarray, nu: float, gradient: bool = False):
         # g' is one degree lower: its zero top row leaves Clenshaw's sum unchanged
         slope = np.vstack([_CHEB_SLOPE @ coef, np.zeros(_CHEB_PANELS)])
         coef = np.stack([coef, slope, _nu_coef(nu, derivative=True)], axis=1)
-    elif coef is None:
-        coef = _bessel_table(float(nu))
     F = np.ones_like(u)
     if gradient:
         S, D = np.zeros_like(u), np.zeros_like(u)
     far = u > (_BESSEL_TABLE_TOP if coef is not None else _MATERN_U_FLOOR)
     if far.any():
         uf = u[far]
-        pref = _matern_prefactor(uf, nu)
+        # in log space, so it stays finite for large nu
+        pref = np.exp(_log_prefactor(np.log(uf), nu))
         with np.errstate(invalid="ignore"):
             direct = pref * kv(nu, uf)
         F[far] = np.where(np.isnan(direct), 1.0, direct)
         if gradient:
             # above the table's top, so no inf * 0
             S[far] = pref * kv(nu - 1, uf) * uf
-    # empty when nu has no table
+    # empty when nu has no panel
     near = (u > _MATERN_U_FLOOR) & ~far
     if near.any():
         un = u[near]

@@ -532,6 +532,9 @@ CURVE_TAU_CFG = {k: v for k, v in CURVE_CFG.items() if k != "inv_tau"}
 OBSERVATIONS_CSV = str(Path(__file__).with_name("data") / "observations_1d.csv")
 FIT_CSV_CFG = {"data_csv": OBSERVATIONS_CSV}
 ALLOCATE_CSV_CFG = {"kernel": {"family": "brownian"}, "T": 10, "data_csv": OBSERVATIONS_CSV}
+# one node above MAX_NODES, with weights summing to one
+EXPLICIT_OVERSIZED = {"type": "explicit", "nodes": np.linspace(0.0, 1.0, 20_001).tolist(),
+                      "weights": [1 / 20_001] * 20_001}
 FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spectrum_p": 10}
 
 
@@ -542,6 +545,10 @@ FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spe
                  "allocate.eta: m", id="allocate-eta-m"),
     pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [10**6, 10**6]}),
                  "allocate.eta: the node count", id="allocate-eta-tensor"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta=EXPLICIT_OVERSIZED), "allocate.eta: the node count",
+                 id="allocate-eta-explicit"),
+    pytest.param("curve", dict(CURVE_CFG, quadrature=EXPLICIT_OVERSIZED, theory=False),
+                 "curve.quadrature: the node count", id="curve-quadrature-explicit"),
     pytest.param("allocate", dict(ALLOCATE_CFG, T=2**62), "allocate.T", id="allocate-T-2^62"),
     pytest.param("allocate", dict(ALLOCATE_CFG, T=2**63 - 1), "allocate.T", id="allocate-T-2^63-1"),
     pytest.param("curve", dict(CURVE_CFG, n=BIG), "curve.n", id="curve-n"),
@@ -710,11 +717,41 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
                  "allocate.data_csv and allocate.sigma_eps2", id="allocate-data_csv-and-sigma_eps2"),
     pytest.param("allocate", dict(ALLOCATE_CSV_CFG, points=[[0.1], [0.5], [0.9]]),
                  "allocate.data_csv and allocate.points", id="allocate-data_csv-and-points"),
+    # points and explicit nodes are lists: anything else is refused, naming the key
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "points", "points": None}),
+                 "simulate.design.points", id="simulate-points-null"),
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "points", "points": 0.5}),
+                 "simulate.design.points", id="simulate-points-scalar"),
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "points", "points": {"a": 1}}),
+                 "simulate.design.points", id="simulate-points-dict"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, points={"a": 1}), "allocate.points",
+                 id="allocate-points-dict"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, points=[{"a": 1}] * 3), "allocate.points",
+                 id="allocate-points-dicts"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "explicit", "nodes": {"a": 1},
+                                                     "weights": [1.0]}),
+                 "allocate.eta: nodes", id="allocate-eta-explicit-nodes-dict"),
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "explicit", "nodes": [0.5],
+                                                     "weights": 1.0}),
+                 "allocate.eta: weights", id="allocate-eta-explicit-weights-scalar"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)
     assert rc == 2
     assert name in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_oversized_explicit_spectrum_measure_exits_2_before_any_work(monkeypatch, tmp_path, capsys):
+    # a spectrum's m x m Gram is 3.2 GB at 20 000 nodes: the cap comes before it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config should have been refused before this")
+
+    monkeypatch.setattr(cli, "nystrom_spectrum", refuse)
+    rc, out = run_cli("spectrum", tmp_path, dict(SPECTRUM_CFG, measure=EXPLICIT_OVERSIZED))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "spectrum.measure: the node count" in err and "above the limit" in err
     assert not (out / "run_manifest.json").exists()
 
 

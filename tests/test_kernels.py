@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from scipy.special import gamma, gammaln, kv
 
 import gpbudget
+from gpbudget import kernels
 from gpbudget.kernels import (
     KernelSpec,
     NU_RANGE,
     _bessel_factor,
-    _bessel_table,
+    _nu_coef,
     _nu_panel,
     _matern_corr,
     cross_matrix,
@@ -414,9 +415,9 @@ class TestBesselTable:
             np.testing.assert_allclose(_bessel_factor(u, nu), want, rtol=1e-12, atol=0)
 
     def test_failed_check_falls_back_to_kv(self):
-        # kv overflows at the table's small-u nodes for this nu
+        # no panel, and kv overflows at a table's small-u nodes for this nu
         nu = 30.7
-        assert _bessel_table(nu) is None
+        assert _nu_coef(nu) is None
         r = np.array([0.0, 1e-12, 1e-8, 1e-3, 0.4, 2.5, 40.0, 200.0])
         u = math.sqrt(2 * nu) * r
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -487,12 +488,34 @@ class TestNuPanels:
         with pytest.raises(ValueError, match="outside the nu range"):
             _matern_corr(np.array([0.5]), nu, True)
 
-    def test_outside_the_panels_the_per_nu_table_is_used(self):
+    def test_outside_the_panels_every_entry_is_kv(self):
         for nu in (0.05, 20.0):
             u = np.array([1e-3, 0.7, 30.0])
-            assert _bessel_table(nu) is not None
-            np.testing.assert_allclose(_bessel_factor(u, nu), _direct_bessel_factor(u, nu, nu),
-                                       rtol=1e-12)
+            assert _nu_coef(nu) is None
+            assert np.array_equal(_bessel_factor(u, nu), _direct_bessel_factor(u, nu, nu))
+
+    def test_a_panel_is_built_from_one_kv_call(self, monkeypatch):
+        # the 24 nu nodes broadcast against the 433 u nodes of every node's table
+        calls = []
+
+        def counting_kv(nu, u):
+            calls.append(np.broadcast_shapes(np.shape(nu), np.shape(u)))
+            return kv(nu, u)
+
+        monkeypatch.setattr(kernels, "kv", counting_kv)
+        A, _ = _nu_panel.__wrapped__(3)
+        assert calls == [(24, 433)]
+        assert np.array_equal(A, _nu_panel(3)[0])
+
+    def test_a_failed_node_table_fails_the_panel(self, monkeypatch):
+        # kv overflowing at one node's small-u end leaves that table's series non-finite
+        def overflowing_kv(nu, u):
+            out = kv(nu, u)
+            out[5, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(kernels, "kv", overflowing_kv)
+        assert _nu_panel.__wrapped__(3) is None
 
 
 def test_import_builds_no_table():
@@ -504,12 +527,11 @@ def test_import_builds_no_table():
         "scipy.special.kv = lambda *a: calls.append(a) or kv(*a)\n"
         "import gpbudget.cli\n"
         "from gpbudget import kernels\n"
-        "print(len(calls), kernels._nu_panel.cache_info().currsize,\n"
-        "      kernels._bessel_table.cache_info().currsize)\n"
+        "print(len(calls), kernels._nu_panel.cache_info().currsize)\n"
     )
     src = str(Path(gpbudget.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0"]
