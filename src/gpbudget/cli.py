@@ -7,6 +7,8 @@ writes a ``run_manifest.json`` recording the subcommand, a hash of the
 config, the seed, output files, wall-clock time and package version.
 Every config number is read by ``kernels._config_number``: a bool, string or
 null is never a number, a count must be whole; a misfit exits 2 naming its key.
+Every other input (a kernel, a measure, a rate law, points, a data file) is
+read under ``_at``, which names its key in any error the read raises.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -77,6 +80,15 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration (exit code 2)."""
 
 
+@contextmanager
+def _at(name: str):
+    """Re-raise a KeyError, OSError, TypeError or ValueError as a ConfigError naming ``name``."""
+    try:
+        yield
+    except (KeyError, OSError, TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: {e}")
+
+
 def _bounded(value, cap: float, name: str) -> int:
     """A configured size as a whole number (``_config_number``), refused above ``cap``."""
     n = _config_number(value, name, int)
@@ -111,10 +123,8 @@ def _pairs(val, name: str) -> list[tuple]:
 def _points(val, dim: int, name: str) -> np.ndarray:
     """A config list of points of dimension ``dim`` (``_as_points``)."""
     pts = _typed_override([], val, name)
-    try:
+    with _at(name):
         return _as_points(pts, dim)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{name}: {e}")
 
 
 def _grid_count(value, cap: float, name: str) -> int:
@@ -123,6 +133,14 @@ def _grid_count(value, cap: float, name: str) -> int:
     if m < 2:
         raise ConfigError(f"{name}: a trapezoid grid needs at least 2 nodes per axis, got {m}")
     return m
+
+
+def _inv_tau_end(value, name: str) -> float:
+    """An end of a geometric 1/tau grid: a config number above 0."""
+    x = _config_number(value, name)
+    if x <= 0:
+        raise ConfigError(f"{name}: an inverse-tau end must be positive, got {x}")
+    return x
 
 
 def _term_count(value, n_nodes: int, name: str) -> int:
@@ -161,10 +179,8 @@ def _write_manifest(out: Path, name: str, config, seed: int, outputs, wall: floa
 
 
 def _parse_kernel(obj, context: str) -> KernelSpec:
-    try:
+    with _at(context):
         return KernelSpec.from_json(obj)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{context}: {e}")
 
 
 def _parse_measure(obj, context: str, dim: int) -> Quadrature:
@@ -172,7 +188,7 @@ def _parse_measure(obj, context: str, dim: int) -> Quadrature:
     ``bounds`` covers the unit box of ``dim`` axes."""
     _check_keys(obj, {"type"}, {"m", "lo", "hi", "bounds", "nodes", "weights"}, context)
     kind = obj["type"]
-    try:
+    with _at(context):
         if kind == "trapezoid":
             m = _bounded(obj["m"], MAX_NODES, "m")
             lo, hi = (_config_number(obj.get(k, d), k) for k, d in (("lo", 0.0), ("hi", 1.0)))
@@ -190,8 +206,6 @@ def _parse_measure(obj, context: str, dim: int) -> Quadrature:
             quad = Quadrature(np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float))
         else:
             raise ConfigError(f"unknown measure type {kind!r}")
-    except (KeyError, ValueError, TypeError) as e:
-        raise ConfigError(f"{context}: {e}")
     if quad.dim != dim:
         raise ConfigError(f"{context}: the measure has dimension {quad.dim}, the kernel {dim}")
     return quad
@@ -212,10 +226,8 @@ def _parse_rate(obj, context: str):
     _check_keys(obj, {"family"}, {"nu", "hurst", "d"}, context)
     d = _bounded(obj.get("d", 1), math.inf, f"{context}.d")
     nu, hurst = (_config_number(obj[k], f"{context}.{k}") if k in obj else None for k in ("nu", "hurst"))
-    try:
+    with _at(context):
         return rate_law(obj["family"], nu=nu, hurst=hurst, d=d)
-    except ValueError as e:
-        raise ConfigError(f"{context}: {e}")
 
 
 def _load_config(path: str | None) -> dict | None:
@@ -259,7 +271,7 @@ def _inv_tau_from_cfg(cfg: dict, context: str) -> np.ndarray:
     grid = cfg.get("inv_tau", {"min": 5.0, "max": 100.0, "count": 12})
     _check_keys(grid, {"min", "max", "count"}, set(), f"{context}.inv_tau")
     count = _bounded(grid["count"], MAX_COUNT, f"{context}.inv_tau.count")
-    lo, hi = (_config_number(grid[k], f"{context}.inv_tau.{k}") for k in ("min", "max"))
+    lo, hi = (_inv_tau_end(grid[k], f"{context}.inv_tau.{k}") for k in ("min", "max"))
     return np.geomspace(lo, hi, count)
 
 
@@ -296,6 +308,16 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
     return ["curve.csv"]
 
 
+def _data_csv(path, name: str) -> tuple:
+    """A data CSV's points and observations (``load_observations_csv``), at most MAX_POINTS."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{name}: expected a file path, got {path!r}")
+    with _at(name):
+        points, obs = load_observations_csv(path)
+    _bounded(len(points), MAX_POINTS, f"{name} point count")
+    return points, obs
+
+
 def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
     if cfg is None:
         raise ConfigError("fit: --config is required")
@@ -308,17 +330,11 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
     bounds = _pairs(cfg["bounds"], "fit.bounds") if "bounds" in cfg else None
     n_random = _bounded(cfg.get("n_random", DEFAULT_N_RANDOM), MAX_COUNT, "fit.n_random")
     n_polish = _bounded(cfg.get("n_polish", DEFAULT_N_POLISH), MAX_COUNT, "fit.n_polish")
-    try:
-        points, obs = load_observations_csv(cfg["data_csv"])
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"fit.data_csv: {e}")
-    _bounded(len(points), MAX_POINTS, "fit.data_csv point count")
+    points, obs = _data_csv(cfg["data_csv"], "fit.data_csv")
     design = Design(points, _bounding_box(points))
     if bounds is not None:
-        try:
+        with _at("fit.bounds"):
             bounds = _checked_bounds(bounds, design.dim)
-        except ValueError as e:
-            raise ConfigError(f"fit.bounds: {e}")
     if noise is None:
         noise = float(np.mean(obs.noise_var))
     fit = fit_hyperparameters(design, obs.means, noise=noise, seed=seed, bounds=bounds,
@@ -376,11 +392,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
         for key in ("points", "sigma_eps2"):
             if key in cfg:
                 raise ConfigError(f"allocate.data_csv and allocate.{key}: give one of them, not both")
-        try:
-            points, obs = load_observations_csv(cfg["data_csv"])
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"allocate.data_csv: {e}")
-        _bounded(len(points), MAX_POINTS, "allocate.data_csv point count")
+        points, obs = _data_csv(cfg["data_csv"], "allocate.data_csv")
         noise = obs.noise_var * obs.s
     elif "points" in cfg:
         points = _points(cfg["points"], spec.dim, "allocate.points")
@@ -421,12 +433,10 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     level, contrast = (_config_number(cfg.get(k, d), f"simulate.{k}")
                        for k, d in (("noise_level", 3.3e-3), ("noise_contrast", 4.0)))
     sim_seed = _config_number(cfg.get("sim_seed", seed), "simulate.sim_seed", int)
-    try:
+    with _at("simulate"):
         sim = SyntheticSimulator(truth=cfg.get("truth", "smooth2d_kl"),
                                  noise_field=cfg.get("noise_field", "smooth"),
                                  noise_level=level, noise_contrast=contrast, seed=sim_seed)
-    except ValueError as e:
-        raise ConfigError(f"simulate: {e}")
     dcfg = cfg["design"]
     _check_keys(dcfg, {"type"}, {"n", "points"}, "simulate.design")
     if dcfg["type"] == "lhs":
@@ -435,7 +445,8 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     elif dcfg["type"] == "points":
         points = _points(dcfg["points"], sim.dim, "simulate.design.points")
         _bounded(len(points), MAX_POINTS, "simulate.design.points count")
-        design = Design(points, UniformBox(tuple((0.0, 1.0) for _ in range(sim.dim))))
+        with _at("simulate.design.points"):
+            design = Design(points, UniformBox(tuple((0.0, 1.0) for _ in range(sim.dim))))
     else:
         raise ConfigError(f"simulate.design.type: unknown type {dcfg['type']!r}")
     _bounded_replicates(cfg["s"], design.n, "simulate.s")
@@ -451,6 +462,8 @@ def _cmd_figure1(cfg, seed, out):
         _bounded(c[key], MAX_COUNT, f"figure1.{key}")
     for key in ("quad_m", "spectrum_m"):
         _grid_count(c[key], MAX_NODES, f"figure1.{key}")
+    for key in ("inv_tau_min", "inv_tau_max"):
+        _inv_tau_end(c[key], f"figure1.{key}")
     report = run_figure1(out, seed, cfg)
     _write_json(out / "figure1_report.json", report)
     return report["files"] + ["figure1_report.json"]
@@ -462,6 +475,8 @@ def _cmd_figure2(cfg, seed, out):
     _bounded(c["n_designs"], MAX_COUNT, "figure2.n_designs")
     for part in ("matern", "gaussian"):
         _bounded(c[part]["inv_tau_count"], MAX_COUNT, f"figure2.{part}.inv_tau_count")
+        for key in ("inv_tau_min", "inv_tau_max"):
+            _inv_tau_end(c[part][key], f"figure2.{part}.{key}")
     # the Matern quadrature is a tensor grid of quad_m^2 nodes
     m = _grid_count(c["matern"]["quad_m"], MAX_NODES, "figure2.matern.quad_m")
     _bounded(m * m, MAX_NODES, "figure2.matern.quad_m node count")

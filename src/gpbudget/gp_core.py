@@ -95,6 +95,8 @@ class Quadrature:
         w = np.asarray(self.weights, dtype=float).ravel()
         if len(nodes) == 0:
             raise ValueError("quadrature must have at least one node")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("quadrature nodes must be finite")
         if len(w) != len(nodes):
             raise ValueError("weights length must match node count")
         if np.any(w < 0):

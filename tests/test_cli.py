@@ -734,6 +734,40 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "explicit", "nodes": [0.5],
                                                      "weights": 1.0}),
                  "allocate.eta: weights", id="allocate-eta-explicit-weights-scalar"),
+    # a design point outside the simulator's unit box names the key
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "points", "points": [[1.5]]}),
+                 "simulate.design.points: design points fall outside", id="simulate-points-outside"),
+    # explicit quadrature nodes must be finite: a null node is refused in the measure
+    pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "explicit", "nodes": [[0.1], [None]],
+                                                     "weights": [0.5, 0.5]}),
+                 "allocate.eta: quadrature nodes must be finite", id="allocate-eta-explicit-null-node"),
+    pytest.param("spectrum", dict(SPECTRUM_CFG, measure={"type": "explicit", "nodes": [[0.1], [None]],
+                                                         "weights": [0.5, 0.5]}),
+                 "spectrum.measure: quadrature nodes must be finite",
+                 id="spectrum-measure-explicit-null-node"),
+    # data_csv is a file path: anything else is refused before any file is opened
+    *(pytest.param(command, dict(cfg, data_csv=bad), f"{command}.data_csv: expected a file path",
+                   id=f"{command}-data_csv-{label}")
+      for command, cfg in (("fit", FIT_CSV_CFG), ("allocate", ALLOCATE_CSV_CFG))
+      for label, bad in (("null", None), ("list", [1]), ("zero", 0), ("true", True))),
+    # an end of a geometric 1/tau grid must be positive
+    pytest.param("curve", dict(CURVE_CFG, inv_tau={"min": 0.0, "max": 20.0, "count": 3}),
+                 "curve.inv_tau.min: an inverse-tau end must be positive", id="curve-inv_tau-min-zero"),
+    pytest.param("curve", dict(CURVE_CFG, inv_tau={"min": 5.0, "max": -20.0, "count": 3}),
+                 "curve.inv_tau.max: an inverse-tau end must be positive",
+                 id="curve-inv_tau-max-negative"),
+    pytest.param("figure1", dict(FIGURE1_SMALL, inv_tau_min=0.0),
+                 "figure1.inv_tau_min: an inverse-tau end must be positive",
+                 id="figure1-inv_tau_min-zero"),
+    pytest.param("figure1", dict(FIGURE1_SMALL, inv_tau_max=-1.0),
+                 "figure1.inv_tau_max: an inverse-tau end must be positive",
+                 id="figure1-inv_tau_max-negative"),
+    pytest.param("figure2", {"n": 20, "n_designs": 1, "matern": {"inv_tau_min": 0.0}},
+                 "figure2.matern.inv_tau_min: an inverse-tau end must be positive",
+                 id="figure2-matern-inv_tau_min-zero"),
+    pytest.param("figure2", {"n": 20, "n_designs": 1, "gaussian": {"inv_tau_max": -1.0}},
+                 "figure2.gaussian.inv_tau_max: an inverse-tau end must be positive",
+                 id="figure2-gaussian-inv_tau_max-negative"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)

@@ -88,6 +88,11 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             Quadrature(np.empty((0, 1)), np.empty(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_nodes(self, bad):
+        with pytest.raises(ValueError, match="quadrature nodes must be finite"):
+            Quadrature(np.array([[0.1], [bad]]), np.array([0.5, 0.5]))
+
 
 class TestDesignAndObservations:
     def test_points_must_lie_in_box(self):
