@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Every subcommand takes --config (JSON), --seed (mandatory; all
-randomness flows from it) and --out (output directory).  Exit codes:
-0 success, 1 numerical failure, 2 configuration/usage error.  Each run
-writes a ``run_manifest.json`` recording the subcommand, a hash of the
-config, the seed, output files, wall-clock time and package version.
+One parser serves every subcommand: --config (JSON), --seed (mandatory, a
+whole number >= 0; all randomness flows from it) and --out (the output
+directory, created if missing, never a file) may come before or after it.
+Exit codes: 0 success, 1 numerical failure, 2 configuration/usage error.
+Each run writes a ``run_manifest.json`` recording the subcommand, a hash of
+the config, the seed, output files, wall-clock time and package version.
 Every config number is read by ``kernels._config_number``: a bool, string or
 null is never a number, a count must be whole; a misfit exits 2 naming its key.
-Every other input (a kernel, a measure, a rate law, points, a data file) is
-read under ``_at``, which names its key in any error the read raises.
+Every other input (a kernel, a measure, a rate law, points, a data file, the
+--out directory) is read under ``_at``, which names its key or flag in any
+error the read raises.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +57,6 @@ from .sim_harness import (
     sample_observations,
 )
 from .spectrum import nystrom_spectrum, save_spectrum_csv
-
-SUBCOMMANDS = (
-    "spectrum", "curve", "fit", "plan", "allocate", "simulate",
-    "figure1", "figure2", "casestudy",
-)
-
 
 # Caps on sizes read from a config, checked before anything is allocated:
 # a spectrum's m x m Gram is 3.2 GB at MAX_NODES, a curve design's n x n
@@ -151,31 +146,11 @@ def _term_count(value, n_nodes: int, name: str) -> int:
     return P
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    config_hash: str
-    seed: int
-    outputs: tuple[str, ...]
-    wall_clock_s: float
-    version: str
-
-
-def _config_hash(config: dict | None) -> str:
-    canon = json.dumps(config or {}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _write_manifest(out: Path, name: str, config, seed: int, outputs, wall: float) -> None:
-    manifest = RunManifest(
-        subcommand=name,
-        config_hash=_config_hash(config),
-        seed=seed,
-        outputs=tuple(outputs),
-        wall_clock_s=wall,
-        version=__version__,
-    )
-    _write_json(out / "run_manifest.json", asdict(manifest))
+def _seed(text: str) -> int:
+    """``--seed``: a whole number >= 0, as numpy's seeding requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
 
 
 def _parse_kernel(obj, context: str) -> KernelSpec:
@@ -433,6 +408,8 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     level, contrast = (_config_number(cfg.get(k, d), f"simulate.{k}")
                        for k, d in (("noise_level", 3.3e-3), ("noise_contrast", 4.0)))
     sim_seed = _config_number(cfg.get("sim_seed", seed), "simulate.sim_seed", int)
+    if sim_seed < 0:
+        raise ConfigError(f"simulate.sim_seed: a seed must be >= 0, got {sim_seed}")
     with _at("simulate"):
         sim = SyntheticSimulator(truth=cfg.get("truth", "smooth2d_kl"),
                                  noise_field=cfg.get("noise_field", "smooth"),
@@ -516,22 +493,16 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gpbudget",
         description="Gaussian-process learning curves and simulation-budget planning",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(SUBCOMMANDS))
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, required=True, help="random seed (mandatory)")
-        p.add_argument("--out", required=True, help="output directory")
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
+    parser.add_argument("command", choices=_HANDLERS, metavar="|".join(_HANDLERS))
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--seed", type=_seed, required=True,
+                        help="random seed, a whole number >= 0 (mandatory)")
+    parser.add_argument("--out", required=True, help="output directory, created if missing")
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -540,7 +511,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        with _at("--out"):
+            out.mkdir(parents=True, exist_ok=True)
         outputs = _HANDLERS[args.command](config, args.seed, out)
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as e:
         print(f"gpbudget {args.command}: {e}", file=sys.stderr)
@@ -549,8 +521,15 @@ def main(argv=None) -> int:
         # a ConfigError, or a config-shaped mistake surfacing from module validation
         print(f"gpbudget {args.command}: {e}", file=sys.stderr)
         return 2
-    _write_manifest(out, args.command, config, args.seed, outputs,
-                    time.perf_counter() - started)
+    canon = json.dumps(config or {}, sort_keys=True, separators=(",", ":"))
+    _write_json(out / "run_manifest.json", {
+        "subcommand": args.command,
+        "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
+        "seed": args.seed,
+        "outputs": outputs,
+        "wall_clock_s": time.perf_counter() - started,
+        "version": __version__,
+    })
     return 0
 
 

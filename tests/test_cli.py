@@ -60,6 +60,34 @@ class TestArgumentParsing:
         assert main(["--help"]) == 0
         assert "spectrum" in capsys.readouterr().out
 
+    def test_subcommand_help_exits_0(self, capsys):
+        assert main(["spectrum", "--help"]) == 0
+        assert "spectrum" in capsys.readouterr().out
+
+    def test_flags_may_come_before_the_subcommand(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, PLAN_CFG)
+        assert main(["--seed", "3", "--out", str(out), "plan", "--config", config]) == 0
+        assert (out / "forecast.json").exists()
+
+    # a negative seed is refused by the parser: before the config is read or --out is made
+    @pytest.mark.parametrize("command", ["spectrum", "simulate", "casestudy"])
+    def test_negative_seed_exits_2_naming_the_flag(self, command, tmp_path, capsys):
+        cfg = {"spectrum": SPECTRUM_CFG, "simulate": SIM_CFG}.get(command)
+        rc, out = run_cli(command, tmp_path, cfg, seed=-1)
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, under, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        out = path / "out" if under else path
+        config = write_config(tmp_path, PLAN_CFG)
+        assert main(["plan", "--seed", "0", "--out", str(out), "--config", config]) == 2
+        assert "--out" in capsys.readouterr().err
+
 
 class TestExitCodeClassification:
     """The documented mapping from failure type to exit code.
@@ -768,6 +796,8 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     pytest.param("figure2", {"n": 20, "n_designs": 1, "gaussian": {"inv_tau_max": -1.0}},
                  "figure2.gaussian.inv_tau_max: an inverse-tau end must be positive",
                  id="figure2-gaussian-inv_tau_max-negative"),
+    # a simulator seed, like --seed, is a whole number >= 0
+    pytest.param("simulate", dict(SIM_CFG, sim_seed=-1), "simulate.sim_seed", id="simulate-sim_seed-negative"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)
@@ -874,6 +904,13 @@ class TestManifest:
             assert (out / name).exists()
         canon = json.dumps(PLAN_CFG, sort_keys=True, separators=(",", ":"))
         assert manifest["config_hash"] == hashlib.sha256(canon.encode()).hexdigest()
+
+    def test_keys_in_order(self, tmp_path):
+        rc, out = run_cli("plan", tmp_path, PLAN_CFG)
+        assert rc == 0
+        with open(out / "run_manifest.json") as fh:
+            assert list(json.load(fh)) == [
+                "subcommand", "config_hash", "seed", "outputs", "wall_clock_s", "version"]
 
     def test_hash_tracks_config(self, tmp_path):
         _, out_a = run_cli("plan", tmp_path, PLAN_CFG, name="a")
