@@ -461,7 +461,7 @@ def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
             xu, xi = np.unique(X[:, j], return_inverse=True)
             yu, yi = np.unique(Y[:, j], return_inverse=True)
             table = _axis_term(spec, cdist(xu[:, None], yu[:, None], "cityblock") / l)
-            yield table[xi[:, None], yi[None, :]]
+            yield table.take(yi, axis=1).take(xi, axis=0)
 
     return _stationary(spec, gathered_terms())
 
@@ -484,9 +484,9 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     ``kernel_diag`` diagonal.  Building K from ``cross_matrix``'s tables
     of distinct coordinates gives the same bits, but each path wins on a
     different workload (2-core Xeon): the triangle on a small general-nu
-    design (n = 100, nu ~ 2.7: 1.2-1.5 ms against 1.6-2.5 ms), the tables
-    on the 1600-node Karhunen-Loeve grid of ``sim_harness`` (44-50 ms
-    against 60-66 ms), so both stay.
+    design (n = 100, nu ~ 2.7: 0.70-0.84 ms against 1.17-1.59 ms), the
+    tables on the 1600-node Karhunen-Loeve grid of ``sim_harness`` (15-21 ms
+    against 46-54 ms), so both stay.
     """
     X = _as_points(points, spec.dim)
     if len(X) == 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,21 @@ _KL_GRID = 40
 _KL_TERMS = 40
 
 
+@lru_cache(maxsize=None)
+def _kl_spectrum():
+    """The Karhunen-Loeve spectrum of the roughened truth, built once per process.
+
+    Its kernel, grid and term count are module constants, so only the
+    seed's normal draws differ between simulators; the spectrum's arrays
+    are read-only and shared.  A one-shot process still pays its one
+    1600-node ``eigh``; every later case study or truth in the same
+    process skips it.  The spectrum keeps the BLAS thread count of the
+    first call.
+    """
+    quad = Quadrature.tensor_trapezoid(_KL_GRID, ((0.0, 1.0), (0.0, 1.0)))
+    return nystrom_spectrum(_KL_KERNEL, quad, _KL_TERMS)
+
+
 @dataclass(frozen=True)
 class SyntheticSimulator:
     """Deterministic ground truth plus a positive noise-variance field."""
@@ -79,8 +94,8 @@ class SyntheticSimulator:
 
     @cached_property
     def _kl(self):
-        quad = Quadrature.tensor_trapezoid(_KL_GRID, ((0.0, 1.0), (0.0, 1.0)))
-        spec = nystrom_spectrum(_KL_KERNEL, quad, _KL_TERMS)
+        """The shared ``_kl_spectrum()`` and this seed's KL coefficients."""
+        spec = _kl_spectrum()
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 20251]))
         xi = rng.standard_normal(_KL_TERMS)
         n_pos = int(np.sum(spec.eigenvalues > 0))

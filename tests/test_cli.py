@@ -978,8 +978,10 @@ class TestEigenvectorsOnlyWhereRead:
         assert eigh_calls == [eigvals_only]
 
     def test_case_study_truth_keeps_the_eigenvectors(self, eigh_calls):
+        from gpbudget import sim_harness
         from gpbudget.sim_harness import SyntheticSimulator
 
+        sim_harness._kl_spectrum.cache_clear()
         SyntheticSimulator()._kl
         assert eigh_calls == [False]
 

@@ -355,6 +355,23 @@ class TestMaternCrossTables:
         Y = np.vstack([X[:5], rng.choice([0.25, 0.75], size=(8, 2))])
         assert np.array_equal(cross_matrix(spec, X, Y), _per_pair_stationary(spec, X, Y))
 
+    @pytest.mark.parametrize("layout", ["one-row-x", "one-column-y", "strided", "fortran"])
+    def test_point_layouts(self, spec, layout):
+        # the gathered tables keep their shape and order whatever the inputs' memory layout
+        grid = np.random.default_rng(7).uniform(size=(60, 2))
+        X, Y = grid[:20], grid[20:]
+        if layout == "one-row-x":
+            X = X[:1]
+        elif layout == "one-column-y":
+            Y = Y[:1]
+        elif layout == "strided":
+            X, Y = grid[::3], grid[1::3]
+        else:
+            X, Y = np.asfortranarray(X), np.asfortranarray(Y)
+        got = cross_matrix(spec, X, Y)
+        assert got.shape == (len(X), len(Y))
+        assert np.array_equal(got, _per_pair_stationary(spec, X, Y))
+
     def test_one_dimensional(self):
         spec = KernelSpec(family="matern1d", nu=1.31, lengthscales=(0.2,))
         x = np.array([0.1, 0.4, 0.4, 0.9, 0.1])[:, None]

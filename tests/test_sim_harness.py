@@ -29,6 +29,7 @@ from gpbudget.gp_core import (
 )
 from gpbudget.kernels import KernelSpec
 from gpbudget.planner import estimate_noise
+from gpbudget import sim_harness
 from gpbudget.sim_harness import (
     CASE_STUDY_DEFAULTS,
     FIGURE1_DEFAULTS,
@@ -116,6 +117,26 @@ class TestTruthSurfaces:
         smooth = SyntheticSimulator(truth="smooth2d", seed=7).truth_values(X)
         rough = SyntheticSimulator(truth="smooth2d_kl", seed=7).truth_values(X)
         assert np.max(np.abs(rough - smooth)) > 1e-4
+
+
+class TestKLSpectrumCache:
+    """The seed-independent KL spectrum is built once and shared by every simulator."""
+
+    def test_shared_across_seeds(self):
+        assert SyntheticSimulator(seed=0)._kl[0] is SyntheticSimulator(seed=5)._kl[0]
+
+    def test_cached_truth_matches_a_fresh_spectrum(self, monkeypatch):
+        X = np.random.default_rng(4).uniform(size=(30, 2))
+        sim_harness._kl_spectrum()
+        cached = SyntheticSimulator(seed=3).truth_values(X)
+        monkeypatch.setattr(sim_harness, "_kl_spectrum", sim_harness._kl_spectrum.__wrapped__)
+        fresh = SyntheticSimulator(seed=3).truth_values(X)
+        assert np.array_equal(cached, fresh)
+
+    def test_cached_arrays_are_read_only(self):
+        spec = sim_harness._kl_spectrum()
+        assert not spec.eigvec_table.flags.writeable
+        assert not spec.eigenvalues.flags.writeable
 
 
 class TestNoiseField:
