@@ -34,7 +34,6 @@ class AllocationPlan:
     s_real: np.ndarray
     budget: int
     i_star: int
-    ordering: np.ndarray
     s_int: np.ndarray | None = None
     achieved_imse: float | None = None
     quasi_optimal: bool = False
@@ -48,9 +47,6 @@ class AllocationPlan:
             raise ValueError("real allocation must exhaust the budget")
         s.setflags(write=False)
         object.__setattr__(self, "s_real", s)
-        order = np.asarray(self.ordering, dtype=int).ravel()
-        order.setflags(write=False)
-        object.__setattr__(self, "ordering", order)
         if self.s_int is not None:
             si = np.asarray(self.s_int).ravel().astype(int)
             if si.sum() != self.budget:
@@ -117,7 +113,7 @@ def _real_allocation(
     quasi = bool(corr.max() > 1e-8)
 
     if T == n:
-        return AllocationPlan(np.ones(n), T, n, np.arange(n), quasi_optimal=quasi), op, sig2
+        return AllocationPlan(np.ones(n), T, n, quasi_optimal=quasi), op, sig2
 
     c = op.local_weight()
     g = (kdiag + sig2) / np.sqrt(c * sig2)
@@ -147,7 +143,6 @@ def _real_allocation(
         s_real=s_real,
         budget=T,
         i_star=i_star,
-        ordering=order,
         quasi_optimal=quasi,
     )
     return plan, op, sig2

@@ -405,15 +405,15 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
         {"truth", "noise_field", "noise_level", "noise_contrast", "sim_seed"},
         "simulate",
     )
-    level, contrast = (_config_number(cfg.get(k, d), f"simulate.{k}")
-                       for k, d in (("noise_level", 3.3e-3), ("noise_contrast", 4.0)))
+    # only the keys given, so the simulator's defaults are the only ones
+    given = {k: cfg[k] for k in ("truth", "noise_field") if k in cfg}
+    given.update((k, _config_number(cfg[k], f"simulate.{k}"))
+                 for k in ("noise_level", "noise_contrast") if k in cfg)
     sim_seed = _config_number(cfg.get("sim_seed", seed), "simulate.sim_seed", int)
     if sim_seed < 0:
         raise ConfigError(f"simulate.sim_seed: a seed must be >= 0, got {sim_seed}")
     with _at("simulate"):
-        sim = SyntheticSimulator(truth=cfg.get("truth", "smooth2d_kl"),
-                                 noise_field=cfg.get("noise_field", "smooth"),
-                                 noise_level=level, noise_contrast=contrast, seed=sim_seed)
+        sim = SyntheticSimulator(**given, seed=sim_seed)
     dcfg = cfg["design"]
     _check_keys(dcfg, {"type"}, {"n", "points"}, "simulate.design")
     if dcfg["type"] == "lhs":

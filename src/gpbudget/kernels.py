@@ -26,14 +26,14 @@ Theory and Approximation Practice*, ch. 3 and 8), evaluated entry by entry
 with Clenshaw's recurrence.  The tables are interpolated in nu on
 geometric panels [2^k, 2^{k+1}] / 16, each built on first use from the
 tables at its Chebyshev points in nu, whose node values come from one
-``kv`` call.  ``_matern_corr`` with ``gradient`` also returns the
+``kv`` call; a Matern ``KernelSpec`` takes nu only in their range,
+``NU_RANGE``.  ``_matern_corr`` with ``gradient`` also returns the
 lengthscale slope and the nu-derivative of log F, read at the same
 located entries in one Clenshaw pass over g's series stacked with two
 more: g' = dg/ds, since by d/du[u^nu K_nu] = -u^nu K_{nu-1} (Abramowitz
 & Stegun 9.6.28) 2^{1-nu}/Gamma(nu) u^{nu+1} K_{nu-1}(u) = F (u - g'(s)),
-and the differentiated nu series.  Entries above the table's top, and
-every entry of a nu without a panel, use ``kv`` directly; such a nu has
-no gradient.
+and the differentiated nu series.  Entries above the table's top use
+``kv`` directly.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ _CHEB_SLOPE = chebder(np.eye(_CHEB_DEGREE + 1), scl=2 / _CHEB_WIDTH)
 _NU_PANEL_LO = 1 / 16
 _NU_PANELS = 8
 _NU_NODES = 24
-# the nu range of the panels, where the likelihood gradient has its nu entry
+# the nu range of the panels, ends included: the nu a Matern KernelSpec takes
 NU_RANGE = (_NU_PANEL_LO, _NU_PANEL_LO * 2**_NU_PANELS)
 
 
@@ -108,13 +108,14 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         object.__setattr__(self, "lengthscales", tuple(float(l) for l in self.lengthscales))
-        if any(l <= 0 for l in self.lengthscales):
-            raise ValueError("lengthscales must all be > 0")
-        if self.variance <= 0:
-            raise ValueError("variance must be > 0")
+        if not all(0 < l < math.inf for l in self.lengthscales):
+            raise ValueError("lengthscales must all be finite and > 0")
+        if not 0 < self.variance < math.inf:
+            raise ValueError("variance must be finite and > 0")
         if self.family in ("matern1d", "matern_tensor"):
-            if self.nu is None or self.nu <= 0:
-                raise ValueError("Matern kernels require nu > 0")
+            if self.nu is None or not NU_RANGE[0] <= self.nu <= NU_RANGE[1]:
+                raise ValueError(f"Matern kernels require nu in [{NU_RANGE[0]}, {NU_RANGE[1]}], "
+                                 "the nu range of the Bessel tables")
         if self.family == "matern1d" and len(self.lengthscales) != 1:
             raise ValueError("matern1d is one-dimensional")
         if self.family == "fbm":
@@ -126,8 +127,8 @@ class KernelSpec:
             if not self.rank_terms:
                 raise ValueError("finite_rank requires nonempty rank_terms")
             terms = tuple((float(w), str(b)) for w, b in self.rank_terms)
-            if any(w <= 0 for w, _ in terms):
-                raise ValueError("rank_terms weights must be > 0")
+            if not all(0 < w < math.inf for w, _ in terms):
+                raise ValueError("rank_terms weights must be finite and > 0")
             for _, b in terms:
                 _parse_basis_id(b)
             object.__setattr__(self, "rank_terms", terms)
@@ -253,18 +254,23 @@ def _nu_panel(k: int) -> tuple[np.ndarray, np.ndarray] | None:
     return A, dA
 
 
-def _nu_coef(nu: float, derivative: bool = False) -> np.ndarray | None:
-    """The table at nu (or its nu-derivative) from nu's panel, or None
-    when nu lies outside the panels or its panel failed its check."""
+def _nu_coef(nu: float, derivative: bool = False) -> np.ndarray:
+    """The table at nu (or its nu-derivative) from nu's panel.  ValueError
+    when nu lies outside ``NU_RANGE``, RuntimeError naming the panel when it
+    failed its check."""
     # nu * 16 = frac * 2^e with frac in [0.5, 1): panel e - 1, at x = 4 frac - 3
     frac, e = math.frexp(nu / _NU_PANEL_LO)
     k, x = e - 1, 4.0 * frac - 3.0
     if k == _NU_PANELS and frac == 0.5:
         # the top of the range belongs to the last panel
         k, x = _NU_PANELS - 1, 1.0
-    panel = _nu_panel(k) if 0 <= k < _NU_PANELS else None
+    if not 0 <= k < _NU_PANELS:
+        raise ValueError(f"nu = {nu} is outside the nu range [{NU_RANGE[0]}, {NU_RANGE[1]}] "
+                         "of the Bessel tables")
+    panel = _nu_panel(k)
     if panel is None:
-        return None
+        lo = _NU_PANEL_LO * 2.0**k
+        raise RuntimeError(f"the Bessel table panel nu in [{lo}, {2 * lo}] failed its check")
     series = panel[1] if derivative else panel[0]
     # T_m(x) = cos(m arccos x)
     T = np.cos(np.arange(len(series)) * math.acos(x))
@@ -320,34 +326,25 @@ def _bessel_factor(u: np.ndarray, nu: float, gradient: bool = False):
     _BESSEL_TABLE_TOP they come from the table nu's panel interpolates at
     nu, located once: F = exp(g - u), S = F (u - g') and D = dg/dnu, from
     one Clenshaw pass over the series of g, g' = dg/ds and dg/dnu.  Above
-    it, or for every entry when nu has no panel, F and S come from the
-    direct ``kv`` formula, whose inf * 0 at the small-u end is F's limit
-    too, and D is 0, where F D is below 1e-300.  ``gradient`` needs a nu
-    inside ``NU_RANGE``, else ValueError.
+    it F and S come from the direct ``kv`` formula, and D is 0, where F D
+    is below 1e-300.  nu must lie in ``NU_RANGE`` (``_nu_coef``).
     """
     coef = _nu_coef(nu)
     if gradient:
-        if coef is None:
-            raise ValueError(f"nu = {nu} is outside the nu range [{NU_RANGE[0]}, {NU_RANGE[1]}] "
-                             "of the Bessel tables")
         # g' is one degree lower: its zero top row leaves Clenshaw's sum unchanged
         slope = np.vstack([_CHEB_SLOPE @ coef, np.zeros(_CHEB_PANELS)])
         coef = np.stack([coef, slope, _nu_coef(nu, derivative=True)], axis=1)
     F = np.ones_like(u)
     if gradient:
         S, D = np.zeros_like(u), np.zeros_like(u)
-    far = u > (_BESSEL_TABLE_TOP if coef is not None else _MATERN_U_FLOOR)
+    far = u > _BESSEL_TABLE_TOP
     if far.any():
         uf = u[far]
         # in log space, so it stays finite for large nu
         pref = np.exp(_log_prefactor(np.log(uf), nu))
-        with np.errstate(invalid="ignore"):
-            direct = pref * kv(nu, uf)
-        F[far] = np.where(np.isnan(direct), 1.0, direct)
+        F[far] = pref * kv(nu, uf)
         if gradient:
-            # above the table's top, so no inf * 0
             S[far] = pref * kv(nu - 1, uf) * uf
-    # empty when nu has no panel
     near = (u > _MATERN_U_FLOOR) & ~far
     if near.any():
         un = u[near]

@@ -45,7 +45,6 @@ class RateLaw:
     exponent: float
     log_power: int
     family: str
-    params: tuple
 
     def __post_init__(self):
         if not 0 < self.exponent <= 1:
@@ -74,18 +73,18 @@ def rate_law(family: str, *, nu: float | None = None, hurst: float | None = None
     if family not in _RATE_FAMILIES:
         raise ValueError(f"no rate law for family {family!r}")
     if family == "degenerate":
-        return RateLaw(1.0, 0, family, ())
+        return RateLaw(1.0, 0, family)
     if family == "fbm":
         if hurst is None or not 0 < hurst < 1:
             raise ValueError("fbm rate law requires hurst in (0,1)")
-        return RateLaw(1 - 1 / (2 * hurst + 1), 0, family, (hurst,))
+        return RateLaw(1 - 1 / (2 * hurst + 1), 0, family)
     if family == "gaussian":
-        return RateLaw(1.0, int(d), family, (d,))
+        return RateLaw(1.0, int(d), family)
     if nu is None or nu <= 0.5:
         raise ValueError("Matern rate laws require nu > 1/2")
     if family == "matern1d":
-        return RateLaw(1 - 1 / (2 * nu), 0, family, (nu,))
-    return RateLaw(1 - 1 / (2 * nu), int(d) - 1, family, (nu, d))
+        return RateLaw(1 - 1 / (2 * nu), 0, family)
+    return RateLaw(1 - 1 / (2 * nu), int(d) - 1, family)
 
 
 def _truncated_imse_sum(lam: np.ndarray, tau: float) -> float:

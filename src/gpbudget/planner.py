@@ -76,7 +76,6 @@ class BudgetForecast:
     imse_T0: float
     T0: int
     sigma_eps2_bar: float
-    rate: RateLaw
     target: float
     solved_T: int
     curve: tuple[tuple[int, float], ...]
@@ -388,7 +387,6 @@ def required_budget(
         imse_T0=imse_T0,
         T0=int(T0),
         sigma_eps2_bar=sigma_eps2_bar,
-        rate=rate,
         target=target,
         solved_T=int(solved),
         curve=curve,

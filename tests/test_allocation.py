@@ -256,13 +256,12 @@ class TestPlanPipeline:
 
     def test_plan_validation_catches_bad_sum(self):
         with pytest.raises(ValueError, match="exhaust"):
-            AllocationPlan(s_real=np.array([2.0, 3.0]), budget=6, i_star=0,
-                           ordering=np.array([0, 1]))
+            AllocationPlan(s_real=np.array([2.0, 3.0]), budget=6, i_star=0)
 
     def test_plan_validation_catches_rounding_drift(self):
         with pytest.raises(ValueError, match="within 1"):
             AllocationPlan(s_real=np.array([2.5, 3.5]), budget=6, i_star=0,
-                           ordering=np.array([0, 1]), s_int=np.array([1, 5]))
+                           s_int=np.array([1, 5]))
 
 
 class TestCsvExport:

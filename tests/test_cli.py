@@ -733,6 +733,10 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
                  id="allocate-sigma_eps2-bool"),
     pytest.param("allocate", dict(ALLOCATE_CFG, kernel={"family": "matern1d", "nu": True}),
                  "allocate.kernel: nu", id="allocate-kernel-nu-bool"),
+    # a Matern nu outside the range of the Bessel tables
+    *(pytest.param(cmd, dict(cfg, kernel={"family": "matern1d", "nu": 20, "lengthscales": [0.3]}),
+                   f"{cmd}.kernel: Matern kernels require nu in [0.0625, 16.0]", id=f"{cmd}-kernel-nu-20")
+      for cmd, cfg in (("spectrum", SPECTRUM_CFG), ("curve", CURVE_CFG), ("allocate", ALLOCATE_CFG))),
     pytest.param("allocate", dict(ALLOCATE_CFG, eta={"type": "tensor_trapezoid", "m": [50],
                                                      "bounds": [[0.0, True]]}),
                  "allocate.eta: bounds", id="allocate-eta-bounds-bool"),

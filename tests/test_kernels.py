@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +65,30 @@ class TestKernelSpecValidation:
     def test_matern_requires_nu(self):
         with pytest.raises(ValueError):
             KernelSpec(family="matern1d")
+
+    @pytest.mark.parametrize("nu", [0.05, 16.01, 20.0, 30.7, math.nan])
+    def test_matern_nu_outside_the_range_rejected(self, nu):
+        with pytest.raises(ValueError, match=r"nu in \[0.0625, 16.0\]"):
+            KernelSpec(family="matern_tensor", nu=nu, lengthscales=(0.3, 0.4))
+
+    @pytest.mark.parametrize("nu", [1 / 16, 16.0])
+    def test_matern_nu_range_includes_its_ends(self, nu):
+        assert KernelSpec(family="matern1d", nu=nu).nu == nu
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_lengthscale(self, bad):
+        with pytest.raises(ValueError, match="lengthscales must all be finite"):
+            KernelSpec(family="gaussian", lengthscales=(0.5, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_variance(self, bad):
+        with pytest.raises(ValueError, match="variance must be finite"):
+            KernelSpec(family="gaussian", variance=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rank_weight(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"), (bad, "cos:1")))
 
     def test_fbm_requires_hurst_in_unit_interval(self):
         with pytest.raises(ValueError):
@@ -431,28 +454,6 @@ class TestBesselTable:
             want = 2 ** (1 - nu) / gamma(nu) * u**nu * kv(nu, u)
             np.testing.assert_allclose(_bessel_factor(u, nu), want, rtol=1e-12, atol=0)
 
-    def test_failed_check_falls_back_to_kv(self):
-        # no panel, and kv overflows at a table's small-u nodes for this nu
-        nu = 30.7
-        assert _nu_coef(nu) is None
-        r = np.array([0.0, 1e-12, 1e-8, 1e-3, 0.4, 2.5, 40.0, 200.0])
-        u = math.sqrt(2 * nu) * r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = np.where(u > 1e-10, _direct_bessel_factor(u, nu, nu), 1.0)
-            assert np.array_equal(_matern_corr(r, nu), np.where(np.isnan(corr), 1.0, corr))
-        # outside the panels, so no slope
-        with pytest.raises(ValueError, match="outside the nu range"):
-            _matern_corr(r, nu, True)
-
-    def test_direct_kv_path_is_silent_near_the_floor(self):
-        # with no table, just above the floor the prefactor underflows to 0 and kv
-        # overflows to inf; their product is the u -> 0 limit, and no warning
-        nu = 30.7
-        r = np.array([1.1e-10, 3e-10, 5.5e-10]) / math.sqrt(2 * nu)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(_matern_corr(r, nu), [1.0, 1.0, 1.0])
-
     def test_above_the_table_uses_kv(self):
         nu = 1.31
         u = np.array([100.0, 690.0, 690.5, 697.0, 720.0])
@@ -505,12 +506,6 @@ class TestNuPanels:
         with pytest.raises(ValueError, match="outside the nu range"):
             _matern_corr(np.array([0.5]), nu, True)
 
-    def test_outside_the_panels_every_entry_is_kv(self):
-        for nu in (0.05, 20.0):
-            u = np.array([1e-3, 0.7, 30.0])
-            assert _nu_coef(nu) is None
-            assert np.array_equal(_bessel_factor(u, nu), _direct_bessel_factor(u, nu, nu))
-
     def test_a_panel_is_built_from_one_kv_call(self, monkeypatch):
         # the 24 nu nodes broadcast against the 433 u nodes of every node's table
         calls = []
@@ -533,6 +528,13 @@ class TestNuPanels:
 
         monkeypatch.setattr(kernels, "kv", overflowing_kv)
         assert _nu_panel.__wrapped__(3) is None
+
+    def test_a_failed_panel_is_a_named_error(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_nu_panel", lambda k: None)
+        with pytest.raises(RuntimeError, match=r"panel nu in \[0.5, 1.0\] failed its check"):
+            _nu_coef(0.7)
+        with pytest.raises(RuntimeError, match="failed its check"):
+            _matern_corr(np.array([0.5]), 16.0, True)
 
 
 def test_import_builds_no_table():

@@ -139,9 +139,9 @@ class TestRateLaw:
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):
-            RateLaw(0.0, 0, "degenerate", ())
+            RateLaw(0.0, 0, "degenerate")
         with pytest.raises(ValueError):
-            RateLaw(0.5, -1, "fbm", (0.5,))
+            RateLaw(0.5, -1, "fbm")
 
 
 class TestAsymptoticImse:
