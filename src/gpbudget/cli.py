@@ -5,7 +5,10 @@ whole number >= 0; all randomness flows from it) and --out (the output
 directory, created if missing, never a file) may come before or after it.
 Exit codes: 0 success, 1 numerical failure, 2 configuration/usage error.
 Each run writes a ``run_manifest.json`` recording the subcommand, a hash of
-the config, the seed, output files, wall-clock time and package version.
+the config, the seed, output files, wall-clock time, package version and
+environment (numpy and scipy versions; each loaded OpenBLAS with its thread
+count at the start and whether the run held it at one thread). The handler
+runs under ``_blas.one_numpy_thread``.
 Every config number is read by ``kernels._config_number``: a bool, string or
 null is never a number, a count must be whole; a misfit exits 2 naming its key.
 Every other input (a kernel, a measure, a rate law, points, a data file, the
@@ -25,8 +28,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, _blas
 from .allocation import plan_allocation, save_plan_csv
 from .gp_core import (
     Design, Quadrature, UniformBox, load_observations_csv, save_observations_csv, _write_json,
@@ -508,12 +512,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     started = time.perf_counter()
+    environment = {"numpy": np.__version__, "scipy": scipy.__version__,
+                   "openblas": _blas.openblas_report()}
     try:
         config = _load_config(args.config)
         out = Path(args.out)
         with _at("--out"):
             out.mkdir(parents=True, exist_ok=True)
-        outputs = _HANDLERS[args.command](config, args.seed, out)
+        with _blas.one_numpy_thread():
+            outputs = _HANDLERS[args.command](config, args.seed, out)
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as e:
         print(f"gpbudget {args.command}: {e}", file=sys.stderr)
         return 1
@@ -529,6 +536,7 @@ def main(argv=None) -> int:
         "outputs": outputs,
         "wall_clock_s": time.perf_counter() - started,
         "version": __version__,
+        "environment": environment,
     })
     return 0
 

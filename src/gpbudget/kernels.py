@@ -108,19 +108,25 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         object.__setattr__(self, "lengthscales", tuple(float(l) for l in self.lengthscales))
+        if not self.lengthscales:
+            raise ValueError("lengthscales must not be empty")
         if not all(0 < l < math.inf for l in self.lengthscales):
             raise ValueError("lengthscales must all be finite and > 0")
         if not 0 < self.variance < math.inf:
             raise ValueError("variance must be finite and > 0")
         if self.family in ("matern1d", "matern_tensor"):
-            if self.nu is None or not NU_RANGE[0] <= self.nu <= NU_RANGE[1]:
+            if not isinstance(self.nu, numbers.Real) or not NU_RANGE[0] <= self.nu <= NU_RANGE[1]:
                 raise ValueError(f"Matern kernels require nu in [{NU_RANGE[0]}, {NU_RANGE[1]}], "
                                  "the nu range of the Bessel tables")
         if self.family == "matern1d" and len(self.lengthscales) != 1:
             raise ValueError("matern1d is one-dimensional")
         if self.family == "fbm":
-            if self.hurst is None or not 0 < self.hurst < 1:
+            if not isinstance(self.hurst, numbers.Real) or not 0 < self.hurst < 1:
                 raise ValueError("fbm requires hurst in (0, 1)")
+        # a nu or hurst is written by to_json even where the family ignores it
+        for name in ("nu", "hurst"):
+            if getattr(self, name) is not None:
+                _config_number(getattr(self, name), name)
         if self.family in _ONE_D_FAMILIES and len(self.lengthscales) != 1:
             raise ValueError(f"{self.family} is one-dimensional")
         if self.family == "finite_rank":

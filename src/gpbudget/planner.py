@@ -29,6 +29,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.spatial.distance import pdist, squareform
 
+from . import _blas
 from .gp_core import Design, ObservationSet
 from .kernels import NU_RANGE, _matern_corr
 from .learning_curve import RateLaw
@@ -223,7 +224,7 @@ def fit_hyperparameters(
     ``_log_likelihood``).  Distinct polished optima are counted as a
     multimodality diagnostic.  A start whose covariance cannot be
     factorized scores -inf; if every start does, LikelihoodFitError is
-    raised.
+    raised. The starts and polishes run under ``_blas.one_numpy_thread``.
     """
     z = np.asarray(values, dtype=float).ravel()
     d = design.dim
@@ -261,32 +262,33 @@ def fit_hyperparameters(
             return np.inf, np.zeros(len(params))
         return -out[0], -out[1]
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    starts = rng.uniform(lo, hi, size=(n_random, len(bounds)))
-    scores = np.array([score(p) for p in starts])
-    if not np.any(np.isfinite(scores)):
-        raise LikelihoodFitError(
-            f"the covariance could not be factorized at any of the {n_random} starts"
-        )
-    top = np.argsort(scores, kind="stable")[: min(n_polish, n_random)]
+    with _blas.one_numpy_thread():
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        starts = rng.uniform(lo, hi, size=(n_random, len(bounds)))
+        scores = np.array([score(p) for p in starts])
+        if not np.any(np.isfinite(scores)):
+            raise LikelihoodFitError(
+                f"the covariance could not be factorized at any of the {n_random} starts"
+            )
+        top = np.argsort(scores, kind="stable")[: min(n_polish, n_random)]
 
-    best_raw_idx = int(top[0])
-    best_val = scores[best_raw_idx]
-    best_x = starts[best_raw_idx]
-    polished_pts: list[np.ndarray] = []
-    improved = False
-    n_iters = 0
-    for idx in top:
-        if not np.isfinite(scores[idx]):
-            continue
-        res = minimize(polish_objective, starts[idx], method="L-BFGS-B", jac=True, bounds=bounds)
-        n_iters += int(res.nit)
-        if np.isfinite(res.fun):
-            polished_pts.append(np.clip(res.x, lo, hi))
-            if res.fun < best_val:
-                best_val = res.fun
-                best_x = polished_pts[-1]
-                improved = True
+        best_raw_idx = int(top[0])
+        best_val = scores[best_raw_idx]
+        best_x = starts[best_raw_idx]
+        polished_pts: list[np.ndarray] = []
+        improved = False
+        n_iters = 0
+        for idx in top:
+            if not np.isfinite(scores[idx]):
+                continue
+            res = minimize(polish_objective, starts[idx], method="L-BFGS-B", jac=True, bounds=bounds)
+            n_iters += int(res.nit)
+            if np.isfinite(res.fun):
+                polished_pts.append(np.clip(res.x, lo, hi))
+                if res.fun < best_val:
+                    best_val = res.fun
+                    best_x = polished_pts[-1]
+                    improved = True
     if not improved:
         warnings.warn(
             "no polish improved on the best raw start; returning the raw optimum",

@@ -914,7 +914,8 @@ class TestManifest:
         assert rc == 0
         with open(out / "run_manifest.json") as fh:
             assert list(json.load(fh)) == [
-                "subcommand", "config_hash", "seed", "outputs", "wall_clock_s", "version"]
+                "subcommand", "config_hash", "seed", "outputs", "wall_clock_s", "version",
+                "environment"]
 
     def test_hash_tracks_config(self, tmp_path):
         _, out_a = run_cli("plan", tmp_path, PLAN_CFG, name="a")

@@ -66,7 +66,7 @@ class TestKernelSpecValidation:
         with pytest.raises(ValueError):
             KernelSpec(family="matern1d")
 
-    @pytest.mark.parametrize("nu", [0.05, 16.01, 20.0, 30.7, math.nan])
+    @pytest.mark.parametrize("nu", [0.05, 16.01, 20.0, 30.7, math.nan, "2.5"])
     def test_matern_nu_outside_the_range_rejected(self, nu):
         with pytest.raises(ValueError, match=r"nu in \[0.0625, 16.0\]"):
             KernelSpec(family="matern_tensor", nu=nu, lengthscales=(0.3, 0.4))
@@ -90,9 +90,31 @@ class TestKernelSpecValidation:
         with pytest.raises(ValueError, match="weights must be finite"):
             KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"), (bad, "cos:1")))
 
+    def test_rejects_empty_lengthscales(self):
+        with pytest.raises(ValueError, match="lengthscales must not be empty"):
+            KernelSpec(family="gaussian", lengthscales=())
+
+    @pytest.mark.parametrize("family,key,bad", [
+        ("gaussian", "nu", math.nan), ("gaussian", "nu", math.inf), ("gaussian", "nu", True),
+        ("exponential", "hurst", math.nan), ("gaussian", "hurst", "0.5"),
+        ("matern1d", "nu", True), ("matern_tensor", "hurst", -math.inf),
+    ])
+    def test_rejects_a_given_nu_or_hurst_that_is_not_a_finite_real(self, family, key, bad):
+        nu = 2.5 if family.startswith("matern") and key != "nu" else None
+        with pytest.raises(ValueError, match=f"{key}: expected finite numbers"):
+            KernelSpec(family=family, **{"nu": nu, key: bad})
+
+    def test_keeps_a_finite_nu_the_family_ignores(self):
+        spec = KernelSpec(family="gaussian", nu=2.5, hurst=0.3)
+        assert json.loads(json.dumps(spec.to_json(), allow_nan=False))["nu"] == 2.5
+
     def test_fbm_requires_hurst_in_unit_interval(self):
         with pytest.raises(ValueError):
             KernelSpec(family="fbm", hurst=1.0)
+
+    def test_fbm_refuses_a_string_hurst(self):
+        with pytest.raises(ValueError, match=r"hurst in \(0, 1\)"):
+            KernelSpec(family="fbm", hurst="0.5")
 
     def test_one_dimensional_families_reject_extra_lengthscales(self):
         with pytest.raises(ValueError):
