@@ -15,9 +15,10 @@ H = 1/2 it reduces to 2*min(x, y).  ``brownian`` is the plain min(x, y)
 kernel.  ``finite_rank`` builds degenerate kernels from an explicit list
 of (weight, basis id) terms with cosine or Legendre bases orthonormal for
 the uniform measure on [0, 1].  The stationary families take every
-|x_j - y_j| from ``scipy.spatial.distance``: ``cross_matrix`` per-axis
-``cdist`` tables of distinct coordinates, ``gram_matrix`` the per-axis
-``pdist`` condensed upper triangle, which ``squareform`` mirrors.
+|x_j - y_j| as a numpy difference: ``cross_matrix`` per-axis tables of
+distinct coordinates, ``gram_matrix`` the per-axis strict upper triangle
+in row-major (condensed) order (``_axis_distances``), which one ``take``
+mirrors into the square (``_symmetric``).
 
 Matern at nu = 1/2, 3/2, 5/2 has closed forms.  Any other nu needs the
 Bessel factor F = 2^{1-nu}/Gamma(nu) u^nu K_nu(u): a piecewise Chebyshev
@@ -43,10 +44,10 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
-from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import eval_legendre, gammaln, kv
 
 FAMILIES = (
@@ -412,6 +413,48 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
+# the orders whose triangle indices are kept, about 20 n^2 bytes each: a fit or a
+# run of plans reuses its design's, a Nystrom grid (51-80 MB at 1600-2000 nodes)
+# is indexed once per spectrum and would hold the memory through its eigh
+_TRIANGLE_CACHE_MAX_N = 512
+
+
+class _Triangle(NamedTuple):
+    """Index arrays of the pairs i < j of an n x n matrix in row-major order,
+    the order of a condensed distance vector."""
+
+    rows: np.ndarray    # i
+    cols: np.ndarray    # j
+    upper: np.ndarray   # the flat positions i*n + j
+    square: np.ndarray  # per flat position of the square, its pair; the pair count on the diagonal
+
+
+@lru_cache(maxsize=4)
+def _cached_triangle(n: int) -> _Triangle:
+    rows, cols = np.triu_indices(n, 1)
+    upper = rows * n + cols
+    square = np.full(n * n, len(upper))
+    square[upper] = square[cols * n + rows] = np.arange(len(upper))
+    return _Triangle(rows, cols, upper, square)
+
+
+def _triangle(n: int) -> _Triangle:
+    """The index arrays of an n x n matrix's pairs, kept up to ``_TRIANGLE_CACHE_MAX_N``."""
+    return (_cached_triangle(n) if n <= _TRIANGLE_CACHE_MAX_N
+            else _cached_triangle.__wrapped__(n))
+
+
+def _axis_distances(points: np.ndarray) -> list[np.ndarray]:
+    """The |x_i - x_j| of each axis over the pairs i < j in condensed order."""
+    tri = _triangle(len(points))
+    return [np.abs(x[tri.rows] - x[tri.cols]) for x in points.T]
+
+
+def _symmetric(triangle: np.ndarray, diagonal: float, n: int) -> np.ndarray:
+    """The n x n symmetric matrix of a condensed strict upper triangle and one diagonal value."""
+    return np.append(triangle, diagonal).take(_triangle(n).square).reshape(n, n)
+
+
 def _axis_term(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """One axis's term of a stationary family at scaled distance r = |x_j - y_j| / l_j >= 0."""
     fam = spec.family
@@ -463,7 +506,7 @@ def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
         for j, l in enumerate(spec.lengthscales):
             xu, xi = np.unique(X[:, j], return_inverse=True)
             yu, yi = np.unique(Y[:, j], return_inverse=True)
-            table = _axis_term(spec, cdist(xu[:, None], yu[:, None], "cityblock") / l)
+            table = _axis_term(spec, np.abs(xu[:, None] - yu[None, :]) / l)
             yield table.take(yi, axis=1).take(xi, axis=0)
 
     return _stationary(spec, gathered_terms())
@@ -482,11 +525,12 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
 
     A one-dimensional family evaluates its broadcasting formula on the
     whole square, whose terms commute, so the result is exactly symmetric.
-    A stationary family evaluates only the condensed strict upper
-    triangle (``pdist`` order) and ``squareform`` mirrors it around a
-    ``kernel_diag`` diagonal.  Building K from ``cross_matrix``'s tables
-    of distinct coordinates gives the same bits, but each path wins on a
-    different workload (2-core Xeon): the triangle on a small general-nu
+    A stationary family evaluates only the strict upper triangle, in
+    condensed row-major order (``_axis_distances``), and ``_symmetric``
+    mirrors it around the constant ``kernel_diag`` diagonal with one
+    ``take``.  Building K from ``cross_matrix``'s tables of distinct
+    coordinates gives the same bits, but each path wins on a different
+    workload (2-core Xeon): the triangle on a small general-nu
     design (n = 100, nu ~ 2.7: 0.70-0.84 ms against 1.17-1.59 ms), the
     tables on the 1600-node Karhunen-Loeve grid of ``sim_harness`` (15-21 ms
     against 46-54 ms), so both stay.
@@ -496,9 +540,7 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
         raise ValueError("gram_matrix requires at least one point")
     if spec.family in _ONE_D_FAMILIES:
         return _coordinate_kernel(spec, X[:, 0][:, None], X[:, 0][None, :])
-    K = squareform(_stationary(spec, (
-        _axis_term(spec, pdist(X[:, [j]], "cityblock") / l)
-        for j, l in enumerate(spec.lengthscales)
-    )))
-    np.fill_diagonal(K, kernel_diag(spec, X))
-    return K
+    corr = _stationary(spec, (
+        _axis_term(spec, d / l) for d, l in zip(_axis_distances(X), spec.lengthscales)
+    ))
+    return _symmetric(corr, spec.variance, len(X))

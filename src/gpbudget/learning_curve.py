@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .gp_core import (
     Design,
     ImseOperator,
@@ -161,7 +162,7 @@ def empirical_learning_curve(
     Each design's tau sweep is one ``ImseOperator.imse_scaled`` call: one
     eigendecomposition of the Gram matrix, then O(n) per tau, with the
     Cholesky path of ``ImseOperator.imse`` for a tau below its
-    conditioning floor.
+    conditioning floor.  The designs run under ``_blas.one_numpy_thread``.
     """
     tau_grid = np.asarray(tau_grid, dtype=float).ravel()
     if n < 1 or len(tau_grid) == 0 or n_designs < 1:
@@ -173,9 +174,10 @@ def empirical_learning_curve(
         quadrature = Quadrature.tensor_trapezoid(max(2, round(4000 ** (1 / spec.dim))), measure.bounds)
     streams = np.random.SeedSequence(seed).spawn(n_designs)
     per_design = np.empty((n_designs, len(tau_grid)))
-    for r, ss in enumerate(streams):
-        op = ImseOperator(spec, measure.sample(n, np.random.default_rng(ss)), quadrature)
-        per_design[r] = op.imse_scaled(n * tau_grid)
+    with _blas.one_numpy_thread():
+        for r, ss in enumerate(streams):
+            op = ImseOperator(spec, measure.sample(n, np.random.default_rng(ss)), quadrature)
+            per_design[r] = op.imse_scaled(n * tau_grid)
     mean = per_design.mean(axis=0)
     if n_designs > 1:
         stderr = per_design.std(axis=0, ddof=1) / math.sqrt(n_designs)

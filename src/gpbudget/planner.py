@@ -26,12 +26,10 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import minimize
-from scipy.spatial.distance import pdist, squareform
 
 from . import _blas
 from .gp_core import Design, ObservationSet
-from .kernels import NU_RANGE, _matern_corr
+from .kernels import NU_RANGE, _axis_distances, _matern_corr, _symmetric, _triangle
 from .learning_curve import RateLaw
 
 DEFAULT_N_RANDOM = 10000
@@ -102,28 +100,23 @@ def estimate_noise(obs: ObservationSet) -> tuple[np.ndarray, float]:
     return per_point, float(per_point.mean())
 
 
-def _axis_distances(points: np.ndarray) -> list[np.ndarray]:
-    """The condensed |dx| along each axis, in ``pdist`` order."""
-    return [pdist(points[:, [j]], "cityblock") for j in range(points.shape[1])]
-
-
 def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bool = False):
     """Concentrated log-likelihood at params = (nu, theta_1..theta_d, sigma2).
 
-    ``dists`` is ``_axis_distances`` of the design.  The correlation matrix
-    is mirrored from the same ``pdist`` triangle by the same ``squareform``
-    as in ``gram_matrix``, so the value is bitwise the one a freshly built
-    ``matern_tensor`` kernel of variance sigma2 gives.  Both axes read the
-    Bessel factor from the table that nu's panel interpolates in nu
-    (``kernels._nu_coef``), so the value builds no table and calls no
-    ``kv`` once that panel exists.  With ``gradient`` the result is (value,
-    gradient), from the one Cholesky factorization: each entry is dL/dp =
-    1/2 tr((alpha alpha' - C^{-1}) dC/dp) (Rasmussen & Williams 2006, eq.
-    5.9).  Each axis reads its correlation rho, slope S = theta drho/dtheta
-    and D = dg/dnu from one located pass over the same table
-    (``kernels._matern_corr`` with ``gradient``), so the gradient calls no
-    ``kv`` either; the nu entry is analytic: per axis drho/dnu = rho * D -
-    (drho/dtheta) * theta / (2 nu).
+    ``dists`` is ``kernels._axis_distances`` of the design.  The covariance
+    is mirrored from the condensed correlation triangle by the same
+    ``kernels._symmetric`` take as in ``gram_matrix``, so the value is
+    bitwise the one a freshly built ``matern_tensor`` kernel of variance
+    sigma2 gives.  Both axes read the Bessel factor from the table that
+    nu's panel interpolates in nu (``kernels._nu_coef``), so the value
+    builds no table and calls no ``kv`` once that panel exists.  With
+    ``gradient`` the result is (value, gradient), from the one Cholesky
+    factorization: each entry is dL/dp = 1/2 tr((alpha alpha' - C^{-1})
+    dC/dp) (Rasmussen & Williams 2006, eq. 5.9).  Each axis reads its
+    correlation rho, slope S = theta drho/dtheta and D = dg/dnu from one
+    located pass over the same table (``kernels._matern_corr`` with
+    ``gradient``), so the gradient calls no ``kv`` either; the nu entry is
+    analytic: per axis drho/dnu = rho * D - (drho/dtheta) * theta / (2 nu).
     """
     params = np.asarray(params, dtype=float)
     nu, theta, sigma2 = float(params[0]), params[1:-1], float(params[-1])
@@ -132,7 +125,7 @@ def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bo
     axes = [_matern_corr(rj, nu, gradient) for rj in scaled]
     factors = [rho for rho, _, _ in axes] if gradient else axes
     corr = reduce(np.multiply, factors)
-    C = sigma2 * (squareform(corr) + np.eye(n)) + noise * np.eye(n)
+    C = _symmetric(sigma2 * corr, sigma2 + noise, n)
     c, low = cho_factor(C, lower=True)
     alpha = cho_solve((c, low), resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
@@ -141,8 +134,8 @@ def _log_likelihood(params, dists, resid: np.ndarray, noise: float, gradient: bo
         return value
 
     W = np.outer(alpha, alpha) - cho_solve((c, low), np.eye(n))
-    # the strict upper triangle, unchecked: W is symmetric only to rounding
-    w = squareform(W, checks=False)
+    # the strict upper triangle in condensed order: W is symmetric only to rounding
+    w = W.take(_triangle(n).upper)
     # dC/dnu and dC/dtheta_j have a zero diagonal (the correlation is 1 at
     # r = 0 for every nu), so their trace terms are sums over i < k
     dcorr_dnu = 0.0
@@ -225,7 +218,11 @@ def fit_hyperparameters(
     multimodality diagnostic.  A start whose covariance cannot be
     factorized scores -inf; if every start does, LikelihoodFitError is
     raised. The starts and polishes run under ``_blas.one_numpy_thread``.
+    ``scipy.optimize`` is imported here, at a process's first fit, not
+    with the package.
     """
+    from scipy.optimize import minimize
+
     z = np.asarray(values, dtype=float).ravel()
     d = design.dim
     if bounds is None:

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.stats import qmc, spearmanr
 
 from .allocation import plan_allocation, heteroscedastic_imse, round_allocation, save_plan_csv
 from .gp_core import (
@@ -167,17 +166,51 @@ def _draw(truth: np.ndarray, var: np.ndarray, s, seed) -> ObservationSet:
 
 
 def latin_hypercube_design(n: int, dim: int, seed, box: UniformBox | None = None) -> Design:
-    """Stratified Latin hypercube design scaled to the box."""
+    """Stratified Latin hypercube design scaled to the box: on each axis one
+    point in each of the n strata [(k - 1)/n, k/n), at a uniform offset.
+
+    The draw is the one of scipy 1.17.1's scrambled strength-1
+    ``qmc.LatinHypercube``: a stream from the child that
+    ``SeedSequence.spawn(1)`` would give next, then n x dim uniform offsets
+    and one shuffle of 1..n per axis.  The child is derived without
+    spawning, so a ``SeedSequence`` seed gives the same design on every
+    call and its spawn counter does not move.
+    """
     if box is None:
         box = UniformBox(tuple((0.0, 1.0) for _ in range(dim)))
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    )
-    sampler = qmc.LatinHypercube(d=dim, seed=rng)
-    unit = sampler.random(n)
-    lo = [b[0] for b in box.bounds]
-    hi = [b[1] for b in box.bounds]
-    return Design(qmc.scale(unit, lo, hi), box)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    child = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, ss.n_children_spawned),
+                                   pool_size=ss.pool_size)
+    rng = np.random.default_rng(child)
+    offsets = rng.uniform(size=(n, dim))
+    perms = np.tile(np.arange(1, n + 1), (dim, 1))
+    for axis in perms:
+        rng.shuffle(axis)
+    unit = (perms.T - offsets) / n
+    lo = np.array([b[0] for b in box.bounds])
+    hi = np.array([b[1] for b in box.bounds])
+    return Design(unit * (hi - lo) + lo, box)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of x, ties given the mean of the ranks they span."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.append(starts, len(x)))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(a, b) -> float:
+    """Spearman's rank correlation of two samples as ``scipy.stats.spearmanr``
+    computes it: ``np.corrcoef`` of their average ranks; NaN when a sample is
+    constant."""
+    x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return math.nan
+    return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
 
 
 def _check_keys(cfg, required: set, optional: set, context: str) -> None:
@@ -464,7 +497,7 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     ):
         sq = squared_errors(_draw(truth, var, s_vec, ss_run).means, noise_pp / s_vec)
         table[label] = {"mse": float(np.mean(sq)), "maxse": float(np.max(sq)), "imse_model": imse}
-    rho = float(spearmanr(plan.s_int, noise_pp)[0])
+    rho = _spearman(plan.s_int, noise_pp)
 
     report = {
         "n": n,

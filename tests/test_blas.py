@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from gpbudget import _blas, cli
+from gpbudget import _blas, cli, learning_curve
+from gpbudget.gp_core import Quadrature
+from gpbudget.kernels import KernelSpec
 from gpbudget.cli import ConfigError, main
 
 
@@ -86,6 +88,23 @@ class TestOneNumpyThread:
         with _blas.one_numpy_thread():
             pass
         assert a.set_to == b.set_to == []
+
+    def test_learning_curve_designs_run_pinned(self, fake_pair, monkeypatch):
+        own, other = fake_pair
+        seen = []
+        operator = learning_curve.ImseOperator
+
+        def recording(*args):
+            seen.append((own.threads, other.threads))
+            return operator(*args)
+
+        monkeypatch.setattr(learning_curve, "ImseOperator", recording)
+        learning_curve.empirical_learning_curve(
+            KernelSpec(family="brownian"), 8, [0.1, 0.01], 3, seed=2,
+            quadrature=Quadrature.tensor_trapezoid(21, [(0.0, 1.0)]))
+        assert seen == [(1, 3)] * 3
+        assert (own.threads, other.threads) == (4, 3)
+        assert own.set_to == [1, 4]
 
     def test_real_numpy_pool_restored(self):
         lib = _real_numpy_pool()

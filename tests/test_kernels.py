@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import gamma, gammaln, kv
 
 import gpbudget
@@ -348,6 +349,35 @@ class TestGramMatrix:
         # the condensed-triangle and distinct-coordinate-table paths agree bitwise
         X = design(spec.dim)
         assert np.array_equal(gram_matrix(spec, X), cross_matrix(spec, X, X))
+
+
+class TestTriangleHelpers:
+    """The numpy |dx| and triangle helpers against ``scipy.spatial.distance``."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_pdist_and_squareform(self, dim):
+        rng = np.random.default_rng(23)
+        for n in [*range(2, 301), kernels._TRIANGLE_CACHE_MAX_N + 1]:
+            X = rng.uniform(-2.0, 3.0, size=(n, dim))
+            dists = kernels._axis_distances(X)
+            for j in range(dim):
+                assert np.array_equal(dists[j], pdist(X[:, [j]], "cityblock"))
+            K = squareform(dists[0])
+            np.fill_diagonal(K, 0.7)
+            assert np.array_equal(kernels._symmetric(dists[0], 0.7, n), K)
+            M = rng.standard_normal((n, n))
+            assert np.array_equal(M.take(kernels._triangle(n).upper), squareform(M, checks=False))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_unit_exponential_equals_cityblock(self, dim):
+        # exp(-sum_j |dx_j|): gram_matrix's triangle and cross_matrix's tables
+        # against cdist and pdist, bit for bit
+        spec = KernelSpec(family="exponential", lengthscales=(1.0,) * dim)
+        rng = np.random.default_rng(29)
+        X, Y = rng.uniform(size=(40, dim)), rng.uniform(size=(13, dim))
+        X[5] = X[3]
+        assert np.array_equal(cross_matrix(spec, X, Y), np.exp(-cdist(X, Y, "cityblock")))
+        assert np.array_equal(gram_matrix(spec, X), np.exp(-squareform(pdist(X, "cityblock"))))
 
 
 def _per_pair_stationary(spec, X, Y):

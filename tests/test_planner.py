@@ -14,11 +14,14 @@ truth's in every seed.  It is by far the slowest test in the suite
 (several hundred optimizer runs per seed).
 """
 
+import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import pdist, squareform
 from scipy.special import gamma, kv
 
 from gpbudget import kernels, planner
@@ -159,6 +162,48 @@ def test_likelihood_matches_dense_bessel_reference():
         got = concentrated_log_likelihood(p, design, z, 0.2, 3e-3)
         want = _dense_bessel_loglik(p, design.points, z, 0.2, 3e-3)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def _squareform_log_likelihood(params, points, resid, noise):
+    """(value, gradient) as ``_log_likelihood`` built them from ``pdist`` and
+    ``squareform``, frozen as the bitwise reference of the numpy triangle."""
+    nu, theta, sigma2 = float(params[0]), params[1:-1], float(params[-1])
+    n = len(resid)
+    axes = [kernels._matern_corr(pdist(points[:, [j]], "cityblock") / float(t), nu, True)
+            for j, t in enumerate(theta)]
+    factors = [rho for rho, _, _ in axes]
+    corr = reduce(np.multiply, factors)
+    C = sigma2 * (squareform(corr) + np.eye(n)) + noise * np.eye(n)
+    c, low = cho_factor(C, lower=True)
+    alpha = cho_solve((c, low), resid)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    value = float(-0.5 * np.dot(resid, alpha) - 0.5 * logdet)
+    W = np.outer(alpha, alpha) - cho_solve((c, low), np.eye(n))
+    w = squareform(W, checks=False)
+    dcorr_dnu, grad_theta = 0.0, []
+    for j, ((rho, S, D), t) in enumerate(zip(axes, theta)):
+        others = reduce(np.multiply, [f for k, f in enumerate(factors) if k != j], 1.0)
+        slope = S / float(t)
+        grad_theta.append(sigma2 * float(np.dot(w, slope * others)))
+        dcorr_dnu = dcorr_dnu + (rho * D - slope * (float(t) / (2 * nu))) * others
+    grad = [sigma2 * float(np.dot(w, dcorr_dnu)), *grad_theta,
+            0.5 * float(np.trace(W)) + float(np.dot(w, corr))]
+    return value, np.array(grad)
+
+
+def test_likelihood_equals_the_squareform_build():
+    # 300 values and gradients at the case study's design (seed 1), bit for bit
+    design = latin_hypercube_design(100, 2, np.random.SeedSequence(1).spawn(6)[0])
+    rng = np.random.default_rng(2024)
+    resid = rng.standard_normal(100)
+    dists = _axis_distances(design.points)
+    got, want = hashlib.sha256(), hashlib.sha256()
+    for p in rng.uniform(*np.array(default_bounds(2)).T, size=(300, 4)):
+        value, grad = _log_likelihood(p, dists, resid, 3.3e-4, True)
+        got.update(np.array([value, _log_likelihood(p, dists, resid, 3.3e-4), *grad]).tobytes())
+        value, grad = _squareform_log_likelihood(p, design.points, resid, 3.3e-4)
+        want.update(np.array([value, value, *grad]).tobytes())
+    assert got.hexdigest() == want.hexdigest()
 
 
 class TestLikelihoodGradient:

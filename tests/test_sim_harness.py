@@ -15,9 +15,11 @@ by the acceptance suite.
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import qmc, spearmanr
 
 from gpbudget.gp_core import (
     Design,
@@ -302,6 +304,56 @@ class TestLatinHypercube:
             assert np.all(x >= lo) and np.all(x <= hi)
             cells = np.floor((x - lo) / (hi - lo) * n).astype(int).clip(0, n - 1)
             assert np.array_equal(np.sort(cells), np.arange(n))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_equals_scipy_latin_hypercube(self, n, dim):
+        # the draw of scipy's scrambled strength-1 LatinHypercube, bit for bit,
+        # for int seeds, SeedSequence seeds and a spawned child, on a non-unit box
+        box = UniformBox(tuple((-1.5 + k, 2.25 + 3 * k) for k in range(dim)))
+        lo, hi = [b[0] for b in box.bounds], [b[1] for b in box.bounds]
+        for seed in range(30):
+            for make in (lambda: seed, lambda: np.random.SeedSequence(seed),
+                         lambda: np.random.SeedSequence(seed).spawn(3)[1]):
+                sampler = qmc.LatinHypercube(d=dim, seed=np.random.default_rng(make()))
+                expected = qmc.scale(sampler.random(n), lo, hi)
+                assert np.array_equal(latin_hypercube_design(n, dim, make(), box).points, expected)
+
+    def test_frozen_points(self):
+        # frozen from scipy 1.17.1's LatinHypercube, so a later scipy cannot move them
+        box = UniformBox(((-1.0, 3.0), (0.5, 0.75)))
+        assert latin_hypercube_design(4, 2, 2024, box).points.tolist() == [
+            [2.3494304267974786, 0.5294018675317299],
+            [0.8329089150853304, 0.7083749356772581],
+            [1.7185902922988676, 0.681405732857153],
+            [-0.3632157828228719, 0.5874121102660315],
+        ]
+
+    def test_a_seed_sequence_gives_the_same_design_twice(self):
+        ss = np.random.SeedSequence(5)
+        first = latin_hypercube_design(5, 2, ss)
+        assert np.array_equal(latin_hypercube_design(5, 2, ss).points, first.points)
+        assert ss.n_children_spawned == 0
+
+
+class TestSpearman:
+    def test_equals_scipy_on_tied_integers(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 120))
+            s = rng.integers(1, 6, n)
+            noise = rng.integers(0, 9, n) * 0.25 if rng.random() < 0.5 else rng.standard_normal(n)
+            rho = sim_harness._spearman(s, noise)
+            expected = spearmanr(s, noise)[0]
+            assert rho == expected or (math.isnan(rho) and math.isnan(expected))
+
+    @pytest.mark.parametrize("a, b", [([3, 3, 3], [0.1, 0.5, 0.2]), ([1, 2, 3], [0.4, 0.4, 0.4]),
+                                      ([1], [2.0])])
+    def test_nan_on_a_constant_sample(self, a, b):
+        assert math.isnan(sim_harness._spearman(a, b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's ConstantInputWarning
+            assert math.isnan(spearmanr(a, b)[0])
 
 
 class TestConfigMerge:
