@@ -16,7 +16,8 @@ kernel.  ``finite_rank`` builds degenerate kernels from an explicit list
 of (weight, basis id) terms with cosine or Legendre bases orthonormal for
 the uniform measure on [0, 1].  The stationary families take every
 |x_j - y_j| as a numpy difference: ``cross_matrix`` per-axis tables of
-distinct coordinates, ``gram_matrix`` the per-axis strict upper triangle
+distinct coordinates (or every pair directly, when no coordinate
+repeats), ``gram_matrix`` the per-axis strict upper triangle
 in row-major (condensed) order (``_axis_distances``), which one ``take``
 mirrors into the square (``_symmetric``).
 
@@ -414,8 +415,8 @@ def _as_points(x, dim: int) -> np.ndarray:
 
 
 # the orders whose triangle indices are kept, about 20 n^2 bytes each: a fit or a
-# run of plans reuses its design's, a Nystrom grid (51-80 MB at 1600-2000 nodes)
-# is indexed once per spectrum and would hold the memory through its eigh
+# run of plans reuses its design's; a larger design is indexed once per Gram
+# matrix.  No Nystrom grid is indexed: its matrix is filled from cross_matrix
 _TRIANGLE_CACHE_MAX_N = 512
 
 
@@ -472,11 +473,11 @@ def _stationary(spec: KernelSpec, terms) -> np.ndarray:
     fam = spec.family
     op = np.add if fam in ("gaussian", "exponential") else np.multiply
     acc = reduce(lambda acc, t: op(acc, t, out=acc), terms)
-    if fam == "gaussian":
-        return spec.variance * np.exp(-0.5 * acc)
-    if fam == "exponential":
-        return spec.variance * np.exp(-acc)
-    return spec.variance * acc
+    if fam in ("gaussian", "exponential"):
+        acc *= -0.5 if fam == "gaussian" else -1.0
+        np.exp(acc, out=acc)
+    acc *= spec.variance
+    return acc
 
 
 def _coordinate_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -500,16 +501,20 @@ def cross_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     if spec.family in _ONE_D_FAMILIES:
         return _coordinate_kernel(spec, X[:, 0][:, None], Y[:, 0][None, :])
 
-    def gathered_terms():
+    def axis_terms():
         # an axis term depends only on the two coordinates, so it is evaluated
-        # once per pair of distinct values (the Bessel work of Matern) and gathered
+        # once per pair of distinct values (the Bessel work of Matern) and
+        # gathered; when no coordinate repeats, the table is the term itself
         for j, l in enumerate(spec.lengthscales):
             xu, xi = np.unique(X[:, j], return_inverse=True)
             yu, yi = np.unique(Y[:, j], return_inverse=True)
-            table = _axis_term(spec, np.abs(xu[:, None] - yu[None, :]) / l)
-            yield table.take(yi, axis=1).take(xi, axis=0)
+            if len(xu) == len(X) and len(yu) == len(Y):
+                yield _axis_term(spec, np.abs(X[:, j][:, None] - Y[:, j][None, :]) / l)
+            else:
+                table = _axis_term(spec, np.abs(xu[:, None] - yu[None, :]) / l)
+                yield table.take(yi, axis=1).take(xi, axis=0)
 
-    return _stationary(spec, gathered_terms())
+    return _stationary(spec, axis_terms())
 
 
 def kernel_diag(spec: KernelSpec, x) -> np.ndarray:
@@ -528,12 +533,13 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     A stationary family evaluates only the strict upper triangle, in
     condensed row-major order (``_axis_distances``), and ``_symmetric``
     mirrors it around the constant ``kernel_diag`` diagonal with one
-    ``take``.  Building K from ``cross_matrix``'s tables of distinct
-    coordinates gives the same bits, but each path wins on a different
-    workload (2-core Xeon): the triangle on a small general-nu
-    design (n = 100, nu ~ 2.7: 0.70-0.84 ms against 1.17-1.59 ms), the
-    tables on the 1600-node Karhunen-Loeve grid of ``sim_harness`` (15-21 ms
-    against 46-54 ms), so both stay.
+    ``take``.  ``cross_matrix(spec, X, X)`` gives the same bits, and each
+    path serves the workload it wins on (2-core Xeon): the triangle serves
+    designs (n = 100, nu ~ 2.7: 0.70-0.84 ms against 1.17-1.59 ms), and
+    the tables of distinct coordinates serve the Nystrom grid, which
+    ``spectrum.nystrom_spectrum`` fills by row blocks of ``cross_matrix``
+    (the 1600-node Karhunen-Loeve grid of ``sim_harness``: 15-21 ms against
+    46-54 ms through the triangle).
     """
     X = _as_points(points, spec.dim)
     if len(X) == 0:

@@ -18,7 +18,11 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .gp_core import Quadrature, _write_csv
-from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points
+from .kernels import KernelSpec, cross_matrix, _as_points, _config_number
+
+# the kernel entries one row block of the Nystrom matrix evaluates, so that no
+# kernel temporary is m x m
+_FILL_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,20 @@ class Spectrum:
 def nystrom_spectrum(spec: KernelSpec, measure: Quadrature, P: int, table: bool = True) -> Spectrum:
     """Top-P eigenpairs of the kernel integral operator under ``measure``.
 
-    Requires at least 10 nodes per requested eigenvalue; negative
-    round-off eigenvalues are clipped to zero, with the clipped mass
-    folded into ``residual_trace``.  With ``table=False`` only the
+    Requires a whole ``P`` and at least 10 nodes per requested eigenvalue;
+    negative round-off eigenvalues are clipped to zero, with the clipped
+    mass folded into ``residual_trace``.  With ``table=False`` only the
     eigenvalues are computed (no eigenvector back-transformation, about
     half the cost of the full ``eigh``) and the spectrum carries no
     nodes, weights or eigenfunction table: enough for the dense-design
     IMSE limit, not for evaluating eigenfunctions.
+
+    The m x m matrix is one buffer: filled by row blocks of about
+    ``_FILL_ENTRIES`` kernel entries, scaled in place and factorized in
+    place, so one call holds about 8 m^2 bytes with ``table=False`` and
+    twice that with the eigenvector table.
     """
+    P = _config_number(P, "P", int)
     m = len(measure)
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -88,16 +98,27 @@ def nystrom_spectrum(spec: KernelSpec, measure: Quadrature, P: int, table: bool 
     w = measure.weights
     if np.any(w <= 0):
         raise ValueError("Nystrom nodes must all carry positive weight")
-    K = gram_matrix(spec, measure.nodes)
+    nodes = measure.nodes
+    K = np.empty((m, m))
+    step = max(1, _FILL_ENTRIES // m)
+    for i in range(0, m, step):
+        K[i:i + step] = cross_matrix(spec, nodes[i:i + step], nodes)
+    # from the strided diagonal: OpenBLAS sums a contiguous vector, such as
+    # kernel_diag's, in another order
+    trace = float(w @ np.diag(K))
     sw = np.sqrt(w)
-    B = sw[:, None] * K * sw[None, :]
+    K *= sw[None, :]
+    K *= sw[:, None]
+    # every kernel matrix here is exactly symmetric, so K.T now holds
+    # (sw_i k_ij) sw_j, each entry of W^{1/2} K W^{1/2} rounded as the product
+    # sw[:, None] * K * sw[None, :] rounds it; LAPACK takes it F-ordered, uncopied
     if table:
-        lam_all, U = eigh(B)
+        lam_all, U = eigh(K.T, overwrite_a=True)
     else:
-        lam_all = eigh(B, eigvals_only=True)
+        lam_all = eigh(K.T, overwrite_a=True, eigvals_only=True)
     order = np.argsort(lam_all)[::-1]
     lam = np.clip(lam_all[order[:P]], 0.0, None)
-    residual = float(w @ np.diag(K)) - float(lam.sum())
+    residual = trace - float(lam.sum())
     if not table:
         return Spectrum(eigenvalues=lam, residual_trace=residual)
     phi = U[:, order[:P]] / sw[:, None]
@@ -121,12 +142,13 @@ def _require_table(s: Spectrum) -> None:
 
 
 def eigenfunction_matrix(s: Spectrum, spec: KernelSpec, x, p_max: int | None = None) -> np.ndarray:
-    """Nystrom extension of the first p_max eigenfunctions, shape (n_x, p_max).
+    """Nystrom extension of the first p_max eigenfunctions, shape (n_x, p_max);
+    ``p_max`` is a whole number, all terms when None.
 
     Only eigenfunctions with strictly positive eigenvalue can be extended.
     """
     _require_table(s)
-    P = s.n_terms if p_max is None else int(p_max)
+    P = s.n_terms if p_max is None else _config_number(p_max, "p_max", int)
     if P < 1 or P > s.n_terms:
         raise ValueError(f"p_max {P} out of range: must be in 1..{s.n_terms}")
     lam = s.eigenvalues[:P]

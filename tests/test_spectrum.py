@@ -8,12 +8,15 @@ Those exact values anchor the accuracy tests below.
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from gpbudget.gp_core import Quadrature
-from gpbudget.kernels import KernelSpec, cross_matrix
+from gpbudget.kernels import KernelSpec, cross_matrix, gram_matrix
+from gpbudget.sim_harness import _KL_KERNEL, _KL_GRID, _KL_TERMS
 from gpbudget.spectrum import (
     Spectrum,
     eigenfunction_matrix,
@@ -112,6 +115,18 @@ class TestNystromBasics:
         with pytest.raises(ValueError):
             nystrom_spectrum(BROWNIAN, q, P=0)
 
+    @pytest.mark.parametrize("bad", [10.5, True, "4", None])
+    def test_p_must_be_a_whole_number(self, bad):
+        q = Quadrature.trapezoid(200, 0.0, 1.0)
+        with pytest.raises(ValueError, match="P: expected whole"):
+            nystrom_spectrum(BROWNIAN, q, bad)
+
+    def test_a_whole_float_p_reads_as_an_int(self):
+        q = Quadrature.trapezoid(200, 0.0, 1.0)
+        s = nystrom_spectrum(BROWNIAN, q, 20.0)
+        assert s.n_terms == 20
+        np.testing.assert_array_equal(s.eigenvalues, nystrom_spectrum(BROWNIAN, q, 20).eigenvalues)
+
     def test_rejects_zero_weight_nodes(self):
         w = np.full(40, 1.0 / 39)
         w[0] = 0.0
@@ -145,6 +160,107 @@ class TestEigenvaluesOnly:
         # scales with the trace, not with the (much smaller) residual itself
         assert bare.residual_trace == pytest.approx(full.residual_trace, abs=1e-12 * full.trace())
         assert bare.nodes is None and bare.weights is None and bare.eigvec_table is None
+
+
+def _gram_spectrum(spec, q, P, table):
+    """The spectrum written out from the Gram matrix: W^{1/2} K W^{1/2} built as
+    one product, its eigh, and the trace from K's diagonal."""
+    K = gram_matrix(spec, q.nodes)
+    w = q.weights
+    sw = np.sqrt(w)
+    B = sw[:, None] * K * sw[None, :]
+    if table:
+        lam_all, U = eigh(B)
+    else:
+        lam_all = eigh(B, eigvals_only=True)
+    order = np.argsort(lam_all)[::-1]
+    lam = np.clip(lam_all[order[:P]], 0.0, None)
+    residual = max(float(w @ np.diag(K)) - float(lam.sum()), 0.0)
+    if not table:
+        return lam, residual, None
+    phi = U[:, order[:P]] / sw[:, None]
+    for p in range(P):
+        if phi[np.argmax(np.abs(phi[:, p])), p] < 0:
+            phi[:, p] = -phi[:, p]
+    return lam, residual, phi
+
+
+def _grid(m):
+    return Quadrature.tensor_trapezoid(m, ((0.0, 1.0), (0.0, 1.0)))
+
+
+class TestOneBufferMatchesTheGramPath:
+    """``nystrom_spectrum`` fills one buffer by ``cross_matrix`` row blocks and
+    scales and factorizes it in place; every number equals the Gram-matrix
+    formula's, bit for bit."""
+
+    @pytest.mark.parametrize("spec, q, P, table", [
+        pytest.param(KernelSpec(family="fbm", hurst=0.5), Quadrature.trapezoid(2000, 0.0, 1.0),
+                     200, False, id="fbm-h0.5-m2000"),
+        pytest.param(KernelSpec(family="fbm", hurst=0.9), Quadrature.trapezoid(2000, 0.0, 1.0),
+                     200, False, id="fbm-h0.9-m2000"),
+        *(pytest.param(KernelSpec(family="gaussian", lengthscales=(0.2,), variance=1.3),
+                       Quadrature.trapezoid(700, 0.0, 1.0), 70, t, id=f"gaussian-1d-table{t}")
+          for t in (False, True)),
+        *(pytest.param(KernelSpec(family="matern1d", nu=2.7, lengthscales=(0.2,)),
+                       Quadrature.trapezoid(700, 0.0, 1.0), 70, t, id=f"matern-2.7-table{t}")
+          for t in (False, True)),
+        pytest.param(_KL_KERNEL, _grid(_KL_GRID), _KL_TERMS, True, id="kl-grid-table"),
+        *(pytest.param(KernelSpec(family="exponential", lengthscales=(0.3, 0.5), variance=0.7),
+                       _grid(25), 60, t, id=f"exponential-25x25-table{t}")
+          for t in (False, True)),
+    ])
+    def test_bitwise_equal(self, spec, q, P, table):
+        lam, residual, phi = _gram_spectrum(spec, q, P, table)
+        s = nystrom_spectrum(spec, q, P, table=table)
+        assert np.array_equal(s.eigenvalues, lam)
+        assert s.residual_trace == residual
+        if table:
+            assert np.array_equal(s.eigvec_table, phi)
+        else:
+            assert s.eigvec_table is None
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(family="matern1d", nu=0.5, lengthscales=(0.2,), variance=1.3),
+        KernelSpec(family="matern_tensor", nu=1.5, lengthscales=(0.4, 0.3), variance=0.04),
+        KernelSpec(family="matern_tensor", nu=2.5, lengthscales=(0.4, 0.3)),
+        KernelSpec(family="matern_tensor", nu=2.7, lengthscales=(0.4, 0.3), variance=0.2),
+        KernelSpec(family="gaussian", lengthscales=(0.3, 0.7), variance=0.9),
+        KernelSpec(family="exponential", lengthscales=(0.3, 0.7), variance=1.1),
+        KernelSpec(family="triangular", lengthscales=(0.4, 0.6), variance=0.8),
+    ], ids=lambda s: f"{s.family}-{s.dim}d-nu{s.nu}")
+    @pytest.mark.parametrize("layout", ["tensor-grid", "random"])
+    def test_cross_matrix_on_itself_is_the_gram_matrix(self, spec, layout):
+        if layout == "tensor-grid":
+            X = _grid(23).nodes if spec.dim == 2 else Quadrature.trapezoid(300, 0.0, 1.0).nodes
+        else:
+            X = np.random.default_rng(12).uniform(size=(300, spec.dim))
+        assert np.array_equal(cross_matrix(spec, X, X), gram_matrix(spec, X))
+
+
+class TestMemory:
+    """One call holds one m x m buffer, and the eigenvector matrix with a table:
+    the traced peak stays near 1 x 8 m^2 bytes values-only and 2 x with a table."""
+
+    @pytest.mark.parametrize("spec, q", [
+        pytest.param(KernelSpec(family="fbm", hurst=0.9), Quadrature.trapezoid(2000, 0.0, 1.0),
+                     id="fbm-m2000"),
+        pytest.param(KernelSpec(family="matern1d", nu=2.7, lengthscales=(0.2,)),
+                     Quadrature.trapezoid(1500, 0.0, 1.0), id="matern-2.7-m1500"),
+        pytest.param(_KL_KERNEL, _grid(_KL_GRID), id="kl-grid"),
+    ])
+    @pytest.mark.parametrize("table, bound", [(False, 1.5), (True, 2.5)])
+    def test_traced_peak(self, spec, q, table, bound):
+        m = len(q)
+        # build the kernel's cached tables (the Bessel panel of nu = 2.7) first
+        cross_matrix(spec, q.nodes[:2], q.nodes[:2])
+        tracemalloc.start()
+        try:
+            nystrom_spectrum(spec, q, m // 10, table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * m * m
 
 
 class TestBrownianAccuracy:
@@ -232,6 +348,18 @@ class TestExtensionGuards:
         s = Spectrum(eigenvalues=np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="node table"):
             eigenfunction_matrix(s, BROWNIAN, [0.5], p_max=1)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "2"])
+    def test_p_max_must_be_a_whole_number(self, bad):
+        s = nystrom_spectrum(BROWNIAN, Quadrature.trapezoid(100, 0.0, 1.0), P=4)
+        with pytest.raises(ValueError, match="p_max: expected whole"):
+            eigenfunction_matrix(s, BROWNIAN, [0.5], p_max=bad)
+
+    def test_a_whole_float_p_max_reads_as_an_int(self):
+        s = nystrom_spectrum(BROWNIAN, Quadrature.trapezoid(100, 0.0, 1.0), P=4)
+        xs = [0.2, 0.7]
+        got = eigenfunction_matrix(s, BROWNIAN, xs, p_max=3.0)
+        np.testing.assert_array_equal(got, eigenfunction_matrix(s, BROWNIAN, xs, p_max=3))
 
     def test_p_max_out_of_bounds(self):
         q = Quadrature.trapezoid(100, 0.0, 1.0)
