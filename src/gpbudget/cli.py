@@ -13,7 +13,9 @@ Every config number is read by ``kernels._config_number``: a bool, string or
 null is never a number, a count must be whole; a misfit exits 2 naming its key.
 Every other input (a kernel, a measure, a rate law, points, a data file, the
 --out directory) is read under ``_at``, which names its key or flag in any
-error the read raises.
+error the read raises.  These readers and the size caps live in ``sim_harness``,
+whose drivers read and check their own configs: the ``figure1``, ``figure2``
+and ``casestudy`` handlers only return the files a driver wrote.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,69 +47,12 @@ from .planner import (
     required_budget,
 )
 from .sim_harness import (
-    CASE_STUDY_DEFAULTS,
-    FIGURE1_DEFAULTS,
-    FIGURE2_DEFAULTS,
-    SyntheticSimulator,
-    _check_keys,
-    _merge_config,
-    _typed_override,
-    _write_curve_csv,
-    latin_hypercube_design,
-    run_case_study,
-    run_figure1,
-    run_figure2,
-    sample_observations,
+    MAX_BUDGET, MAX_COUNT, MAX_NODES, MAX_POINTS, ConfigError, SyntheticSimulator, _at, _bounded,
+    _bounded_replicates, _check_keys, _inv_tau_grid, _numbers, _term_count, _trapezoid_grid,
+    _typed_override, _write_curve_csv, latin_hypercube_design, run_case_study, run_figure1,
+    run_figure2, sample_observations,
 )
 from .spectrum import nystrom_spectrum, save_spectrum_csv
-
-# Caps on sizes read from a config, checked before anything is allocated:
-# a spectrum's m x m Gram is 3.2 GB at MAX_NODES, a curve design's n x n
-# Gram 0.8 GB at MAX_POINTS; MAX_COUNT bounds repeat and grid counts, and
-# the replicates drawn at once (each count and their total over the points).
-# A budget, plan's n or a dimension sizes no array: its cap is math.inf,
-# except allocate's budget, which round_allocation splits in float64, exact
-# for whole numbers only up to MAX_BUDGET.
-MAX_NODES = 20_000
-MAX_POINTS = 10_000
-MAX_COUNT = 1_000_000
-MAX_BUDGET = 2**53
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent configuration (exit code 2)."""
-
-
-@contextmanager
-def _at(name: str):
-    """Re-raise a KeyError, OSError, TypeError or ValueError as a ConfigError naming ``name``."""
-    try:
-        yield
-    except (KeyError, OSError, TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: {e}")
-
-
-def _bounded(value, cap: float, name: str) -> int:
-    """A configured size as a whole number (``_config_number``), refused above ``cap``."""
-    n = _config_number(value, name, int)
-    if n > cap:
-        raise ConfigError(f"{name} = {n} is above the limit of {cap}")
-    return n
-
-
-def _bounded_replicates(s, n_points: int, name: str) -> None:
-    """Refuse replicate counts (one for all points, or one each) above MAX_COUNT, each or summed."""
-    counts = _numbers(s, name, int, n_points)
-    _bounded(max(counts, default=0), MAX_COUNT, name)
-    _bounded(sum(counts), MAX_COUNT, f"{name} summed over the points")
-
-
-def _numbers(val, name: str, kind=float, n: int | None = None) -> list:
-    """A config list, each entry read by ``_config_number``; given ``n``, one number
-    may stand for a list of ``n`` equal entries."""
-    if n is not None and not isinstance(val, list):
-        return [_config_number(val, name, kind)] * n
-    return [_config_number(v, name, kind) for v in _typed_override([], val, name)]
 
 
 def _pairs(val, name: str) -> list[tuple]:
@@ -124,30 +68,6 @@ def _points(val, dim: int, name: str) -> np.ndarray:
     pts = _typed_override([], val, name)
     with _at(name):
         return _as_points(pts, dim)
-
-
-def _grid_count(value, cap: float, name: str) -> int:
-    """A trapezoid grid's node count per axis: a size (``_bounded``) of at least 2."""
-    m = _bounded(value, cap, name)
-    if m < 2:
-        raise ConfigError(f"{name}: a trapezoid grid needs at least 2 nodes per axis, got {m}")
-    return m
-
-
-def _inv_tau_end(value, name: str) -> float:
-    """An end of a geometric 1/tau grid: a config number above 0."""
-    x = _config_number(value, name)
-    if x <= 0:
-        raise ConfigError(f"{name}: an inverse-tau end must be positive, got {x}")
-    return x
-
-
-def _term_count(value, n_nodes: int, name: str) -> int:
-    """A spectrum's eigenvalue count: 1 <= p <= n_nodes / 10."""
-    P = _bounded(value, MAX_NODES, name)
-    if P < 1 or 10 * P > n_nodes:
-        raise ConfigError(f"{name}: need 1 <= p <= {n_nodes // 10} for {n_nodes} nodes")
-    return P
 
 
 def _seed(text: str) -> int:
@@ -169,16 +89,11 @@ def _parse_measure(obj, context: str, dim: int) -> Quadrature:
     kind = obj["type"]
     with _at(context):
         if kind == "trapezoid":
-            m = _bounded(obj["m"], MAX_NODES, "m")
             lo, hi = (_config_number(obj.get(k, d), k) for k, d in (("lo", 0.0), ("hi", 1.0)))
-            quad = Quadrature.trapezoid(m, lo, hi)
+            quad = _trapezoid_grid(_config_number(obj["m"], "m", int), [(lo, hi)], MAX_NODES, "m")
         elif kind == "tensor_trapezoid":
-            counts = _numbers(obj["m"], "m", int, 1)
             bounds = _pairs(obj.get("bounds") or [[0.0, 1.0]] * dim, "bounds")
-            # each count whole; the node count, one count's power or their product, capped
-            n_nodes = counts[0] ** len(bounds) if len(counts) == 1 else math.prod(counts)
-            _bounded(n_nodes, MAX_NODES, "the node count")
-            quad = Quadrature.tensor_trapezoid(counts, bounds)
+            quad = _trapezoid_grid(obj["m"], bounds, MAX_NODES, "m", "the node count")
         elif kind == "explicit":
             nodes, weights = (_typed_override([], obj[k], k) for k in ("nodes", "weights"))
             _bounded(len(nodes), MAX_NODES, "the node count")
@@ -249,9 +164,7 @@ def _inv_tau_from_cfg(cfg: dict, context: str) -> np.ndarray:
         return 1.0 / taus
     grid = cfg.get("inv_tau", {"min": 5.0, "max": 100.0, "count": 12})
     _check_keys(grid, {"min", "max", "count"}, set(), f"{context}.inv_tau")
-    count = _bounded(grid["count"], MAX_COUNT, f"{context}.inv_tau.count")
-    lo, hi = (_inv_tau_end(grid[k], f"{context}.inv_tau.{k}") for k in ("min", "max"))
-    return np.geomspace(lo, hi, count)
+    return _inv_tau_grid(grid, f"{context}.inv_tau", keys=("min", "max", "count"))
 
 
 def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
@@ -263,8 +176,8 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
         "curve",
     )
     spec = _parse_kernel(cfg["kernel"], "curve.kernel")
-    n = _bounded(cfg["n"], MAX_POINTS, "curve.n")
-    n_designs = _bounded(cfg.get("n_designs", 10), MAX_COUNT, "curve.n_designs")
+    n = _bounded(cfg["n"], MAX_POINTS, "curve.n", 1)
+    n_designs = _bounded(cfg.get("n_designs", 10), MAX_COUNT, "curve.n_designs", 1)
     inv_tau = _inv_tau_from_cfg(cfg, "curve")
     taus = 1.0 / inv_tau
     quad = (_parse_measure(cfg["quadrature"], "curve.quadrature", spec.dim)
@@ -272,10 +185,9 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
     theory_cfg = cfg.get("theory", {})
     if theory_cfg is not False:
         _check_keys(theory_cfg, set(), {"spectrum_m", "p"}, "curve.theory")
-        m1 = _bounded(theory_cfg.get("spectrum_m", 2000 if spec.dim == 1 else 45),
-                      MAX_NODES, "curve.theory.spectrum_m")
-        _bounded(m1**spec.dim, MAX_NODES, "curve.theory.spectrum_m node count")
-        sq = Quadrature.tensor_trapezoid(m1, [(0.0, 1.0)] * spec.dim)
+        m1 = _config_number(theory_cfg.get("spectrum_m", 2000 if spec.dim == 1 else 45),
+                            "curve.theory.spectrum_m", int)
+        sq = _trapezoid_grid(m1, [(0.0, 1.0)] * spec.dim, MAX_NODES, "curve.theory.spectrum_m")
         P = _term_count(theory_cfg.get("p", min(200, len(sq) // 10)), len(sq), "curve.theory.p")
     mean, stderr = empirical_learning_curve(spec, n, taus, n_designs, seed, quadrature=quad)
     if theory_cfg is False:
@@ -307,8 +219,8 @@ def _cmd_fit(cfg: dict | None, seed: int, out: Path) -> list[str]:
     )
     noise, mean = (_config_number(cfg[k], f"fit.{k}") if k in cfg else None for k in ("noise", "mean"))
     bounds = _pairs(cfg["bounds"], "fit.bounds") if "bounds" in cfg else None
-    n_random = _bounded(cfg.get("n_random", DEFAULT_N_RANDOM), MAX_COUNT, "fit.n_random")
-    n_polish = _bounded(cfg.get("n_polish", DEFAULT_N_POLISH), MAX_COUNT, "fit.n_polish")
+    n_random = _bounded(cfg.get("n_random", DEFAULT_N_RANDOM), MAX_COUNT, "fit.n_random", 1)
+    n_polish = _bounded(cfg.get("n_polish", DEFAULT_N_POLISH), MAX_COUNT, "fit.n_polish", 1)
     points, obs = _data_csv(cfg["data_csv"], "fit.data_csv")
     design = Design(points, _bounding_box(points))
     if bounds is not None:
@@ -338,9 +250,7 @@ def _cmd_plan(cfg: dict | None, seed: int, out: Path) -> list[str]:
             f"plan.target_imse: target {target} must be below the current IMSE {imse_t0}"
         )
     T0 = _bounded(cfg["T0"], math.inf, "plan.T0")
-    n = _bounded(cfg["n"], math.inf, "plan.n") if "n" in cfg else None
-    if n is not None and n < 1:
-        raise ConfigError(f"plan.n: the design size must be >= 1, got {n}")
+    n = _bounded(cfg["n"], math.inf, "plan.n", 1) if "n" in cfg else None
     forecast = required_budget(
         imse_t0, T0, sigma_bar, law, target, n=n,
         curve_points=_bounded(cfg.get("curve_points", 50), MAX_COUNT, "plan.curve_points"),
@@ -413,15 +323,13 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     given = {k: cfg[k] for k in ("truth", "noise_field") if k in cfg}
     given.update((k, _config_number(cfg[k], f"simulate.{k}"))
                  for k in ("noise_level", "noise_contrast") if k in cfg)
-    sim_seed = _config_number(cfg.get("sim_seed", seed), "simulate.sim_seed", int)
-    if sim_seed < 0:
-        raise ConfigError(f"simulate.sim_seed: a seed must be >= 0, got {sim_seed}")
+    sim_seed = _bounded(cfg.get("sim_seed", seed), math.inf, "simulate.sim_seed", 0)
     with _at("simulate"):
         sim = SyntheticSimulator(**given, seed=sim_seed)
     dcfg = cfg["design"]
     _check_keys(dcfg, {"type"}, {"n", "points"}, "simulate.design")
     if dcfg["type"] == "lhs":
-        n = _bounded(dcfg["n"], MAX_POINTS, "simulate.design.n")
+        n = _bounded(dcfg["n"], MAX_POINTS, "simulate.design.n", 1)
         design = latin_hypercube_design(n, sim.dim, seed)
     elif dcfg["type"] == "points":
         points = _points(dcfg["points"], sim.dim, "simulate.design.points")
@@ -436,54 +344,6 @@ def _cmd_simulate(cfg: dict | None, seed: int, out: Path) -> list[str]:
     return ["observations.csv"]
 
 
-def _cmd_figure1(cfg, seed, out):
-    c = _merge_config(FIGURE1_DEFAULTS, cfg, "figure1")
-    _bounded(c["n"], MAX_POINTS, "figure1.n")
-    for key in ("n_designs", "inv_tau_count"):
-        _bounded(c[key], MAX_COUNT, f"figure1.{key}")
-    for key in ("quad_m", "spectrum_m"):
-        _grid_count(c[key], MAX_NODES, f"figure1.{key}")
-    for key in ("inv_tau_min", "inv_tau_max"):
-        _inv_tau_end(c[key], f"figure1.{key}")
-    report = run_figure1(out, seed, cfg)
-    _write_json(out / "figure1_report.json", report)
-    return report["files"] + ["figure1_report.json"]
-
-
-def _cmd_figure2(cfg, seed, out):
-    c = _merge_config(FIGURE2_DEFAULTS, cfg, "figure2")
-    _bounded(c["n"], MAX_POINTS, "figure2.n")
-    _bounded(c["n_designs"], MAX_COUNT, "figure2.n_designs")
-    for part in ("matern", "gaussian"):
-        _bounded(c[part]["inv_tau_count"], MAX_COUNT, f"figure2.{part}.inv_tau_count")
-        for key in ("inv_tau_min", "inv_tau_max"):
-            _inv_tau_end(c[part][key], f"figure2.{part}.{key}")
-    # the Matern quadrature is a tensor grid of quad_m^2 nodes
-    m = _grid_count(c["matern"]["quad_m"], MAX_NODES, "figure2.matern.quad_m")
-    _bounded(m * m, MAX_NODES, "figure2.matern.quad_m node count")
-    _grid_count(c["gaussian"]["quad_m"], MAX_NODES, "figure2.gaussian.quad_m")
-    report = run_figure2(out, seed, cfg)
-    _write_json(out / "figure2_report.json", report)
-    return report["files"] + ["figure2_report.json"]
-
-
-def _cmd_casestudy(cfg, seed, out):
-    c = _merge_config(CASE_STUDY_DEFAULTS, cfg, "casestudy")
-    n = _bounded(c["n"], MAX_POINTS, "casestudy.n")
-    # the test grid and eta are test_grid^2 points and eta_m^2 nodes in 2-D
-    g = _grid_count(c["test_grid"], MAX_POINTS, "casestudy.test_grid")
-    _bounded(g * g, MAX_POINTS, "casestudy.test_grid point count")
-    m = _grid_count(c["eta_m"], MAX_NODES, "casestudy.eta_m")
-    _bounded(m * m, MAX_NODES, "casestudy.eta_m node count")
-    for key in ("n_random", "n_polish"):
-        _bounded(c[key], MAX_COUNT, f"casestudy.{key}")
-    _bounded_replicates(c["s0"], n, "casestudy.s0")
-    _bounded_replicates(c["s_scan_max"], n, "casestudy.s_scan_max")
-    _bounded_replicates(c["test_s"], g * g, "casestudy.test_s")
-    report = run_case_study(out, seed, cfg)
-    return report["files"]
-
-
 _HANDLERS = {
     "spectrum": _cmd_spectrum,
     "curve": _cmd_curve,
@@ -491,9 +351,10 @@ _HANDLERS = {
     "plan": _cmd_plan,
     "allocate": _cmd_allocate,
     "simulate": _cmd_simulate,
-    "figure1": _cmd_figure1,
-    "figure2": _cmd_figure2,
-    "casestudy": _cmd_casestudy,
+    # the drivers read and check their own configs
+    "figure1": lambda cfg, seed, out: run_figure1(out, seed, cfg)["files"],
+    "figure2": lambda cfg, seed, out: run_figure2(out, seed, cfg)["files"],
+    "casestudy": lambda cfg, seed, out: run_case_study(out, seed, cfg)["files"],
 }
 
 

@@ -89,7 +89,8 @@ class Quadrature:
     weights: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.nodes, dtype=float)
+        # a copy, so freezing it leaves the caller's array writeable and unshared
+        raw = np.array(self.nodes, dtype=float)
         # a flat vector is a list of 1-D nodes, not one high-dimensional node
         nodes = raw[:, None] if raw.ndim == 1 else np.atleast_2d(raw)
         w = np.asarray(self.weights, dtype=float).ravel()

@@ -7,11 +7,16 @@ regenerate the learning-curve figures and run the budget-planning case
 study end to end: noise estimation, hyperparameter fitting, budget
 forecasting, replication allocation, and a uniform-vs-optimal
 comparison on held-out data.
+
+The config readers and size caps shared with the CLI live here: each
+driver reads and checks its whole config once, before any work, so a
+library call is refused as the CLI is, by a ``ConfigError`` naming the key.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -249,6 +254,92 @@ def _typed_override(default, val, name: str):
     return _config_number(val, name, type(default))
 
 
+# Caps on sizes read from a config, checked before anything is allocated:
+# a spectrum's m x m Gram is 3.2 GB at MAX_NODES, a curve design's n x n
+# Gram 0.8 GB at MAX_POINTS; MAX_COUNT bounds repeat and grid counts, and
+# the replicates drawn at once (each count and their total over the points).
+# A budget, plan's n or a dimension sizes no array: its cap is math.inf,
+# except allocate's budget, which round_allocation splits in float64, exact
+# for whole numbers only up to MAX_BUDGET.
+MAX_NODES = 20_000
+MAX_POINTS = 10_000
+MAX_COUNT = 1_000_000
+MAX_BUDGET = 2**53
+_UNIT_AXIS = ((0.0, 1.0),)
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent configuration (exit code 2)."""
+
+
+@contextmanager
+def _at(name: str):
+    """Re-raise a KeyError, OSError, TypeError or ValueError as a ConfigError naming ``name``."""
+    try:
+        yield
+    except (KeyError, OSError, TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: {e}")
+
+
+def _bounded(value, cap: float, name: str, least: float = -math.inf) -> int:
+    """A configured size as a whole number (``_config_number``) in ``least``..``cap``."""
+    n = _config_number(value, name, int)
+    if n > cap:
+        raise ConfigError(f"{name} = {n} is above the limit of {cap}")
+    if n < least:
+        raise ConfigError(f"{name} = {n} is below the minimum of {least}")
+    return n
+
+
+def _numbers(val, name: str, kind=float, n: int | None = None) -> list:
+    """A config list, each entry read by ``_config_number``; given ``n``, one number
+    may stand for a list of ``n`` equal entries."""
+    if n is not None and not isinstance(val, list):
+        return [_config_number(val, name, kind)] * n
+    return [_config_number(v, name, kind) for v in _typed_override([], val, name)]
+
+
+def _bounded_replicates(s, n_points: int, name: str, least: int = 1) -> None:
+    """Refuse replicate counts (one for all points, or one each) outside ``least``..MAX_COUNT,
+    each or summed."""
+    counts = _numbers(s, name, int, n_points)
+    for c in (min(counts, default=least), max(counts, default=least)):
+        _bounded(c, MAX_COUNT, name, least)
+    _bounded(sum(counts), MAX_COUNT, f"{name} summed over the points")
+
+
+def _term_count(value, n_nodes: int, name: str) -> int:
+    """A spectrum's eigenvalue count: 1 <= p <= n_nodes / 10."""
+    P = _bounded(value, MAX_NODES, name)
+    if P < 1 or 10 * P > n_nodes:
+        raise ConfigError(f"{name}: need 1 <= p <= {n_nodes // 10} for {n_nodes} nodes")
+    return P
+
+
+def _trapezoid_grid(counts, bounds, cap: float, name: str, total: str | None = None) -> Quadrature:
+    """``Quadrature.tensor_trapezoid(counts, bounds)`` for a configured ``counts`` (one for
+    every axis, or one per axis): each at least 2, and their node count over the axes,
+    named ``total`` (default "``name`` node count"), at most ``cap``."""
+    ms = _numbers(counts, name, int, 1)
+    if min(ms, default=2) < 2:
+        raise ConfigError(f"{name}: a trapezoid grid needs at least 2 nodes per axis, got {min(ms)}")
+    n_nodes = ms[0] ** len(bounds) if len(ms) == 1 else math.prod(ms)
+    _bounded(n_nodes, cap, total or f"{name} node count")
+    return Quadrature.tensor_trapezoid(ms, bounds)
+
+
+def _inv_tau_grid(cfg: dict, context: str, least: int = 1,
+                  keys=("inv_tau_min", "inv_tau_max", "inv_tau_count")) -> np.ndarray:
+    """The geometric 1/tau grid between ``cfg``'s two end ``keys``, both above 0, with
+    ``least`` <= count <= MAX_COUNT values; each key named under ``context``."""
+    count = _bounded(cfg[keys[2]], MAX_COUNT, f"{context}.{keys[2]}", least)
+    ends = [_config_number(cfg[k], f"{context}.{k}") for k in keys[:2]]
+    for k, x in zip(keys, ends):
+        if x <= 0:
+            raise ConfigError(f"{context}.{k}: an inverse-tau end must be positive, got {x}")
+    return np.geomspace(*ends, count)
+
+
 def _write_curve_csv(path, inv_tau, mean, stderr, theory) -> None:
     _write_csv(path, ["inv_tau", "imse_mean", "imse_stderr", "theory_value"],
                zip(inv_tau, mean, stderr, theory))
@@ -271,25 +362,33 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
     """Learning curves for the doubled fractional Brownian kernels.
 
     One CSV per Hurst value with the Monte-Carlo curve and the spectral
-    limit overlay; the report holds fitted log-log slopes against 1/tau.
+    limit overlay; the report, also written to ``figure1_report.json``,
+    holds fitted log-log slopes against 1/tau, and its ``files`` every file
+    written.  The config is read and checked whole before any work.
     """
     cfg = _merge_config(FIGURE1_DEFAULTS, config, "figure1")
+    n = _bounded(cfg["n"], MAX_POINTS, "figure1.n", 1)
+    n_designs = _bounded(cfg["n_designs"], MAX_COUNT, "figure1.n_designs", 1)
+    # a log-log slope needs three points
+    inv_tau = _inv_tau_grid(cfg, "figure1", least=3)
+    quad = _trapezoid_grid(cfg["quad_m"], _UNIT_AXIS, MAX_NODES, "figure1.quad_m")
+    sq = _trapezoid_grid(cfg["spectrum_m"], _UNIT_AXIS, MAX_NODES, "figure1.spectrum_m")
+    P = _term_count(cfg["spectrum_p"], len(sq), "figure1.spectrum_p")
+    hursts = _numbers(cfg["hurst"], "figure1.hurst")
+    if not hursts:
+        raise ConfigError("figure1.hurst: need at least one Hurst value")
+    with _at("figure1.hurst"):
+        specs = [KernelSpec(family="fbm", hurst=h) for h in hursts]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inv_tau = np.geomspace(cfg["inv_tau_min"], cfg["inv_tau_max"], cfg["inv_tau_count"])
     taus = 1.0 / inv_tau
-    hursts = [_config_number(h, "figure1.hurst") for h in cfg["hurst"]]
     streams = np.random.SeedSequence(seed).spawn(len(hursts))
     report = {"files": [], "curves": {}}
-    for h, ss in zip(hursts, streams):
-        spec = KernelSpec(family="fbm", hurst=h)
-        quad = Quadrature.trapezoid(cfg["quad_m"], 0.0, 1.0)
+    for h, spec, ss in zip(hursts, specs, streams):
         mean, stderr = empirical_learning_curve(
-            spec, cfg["n"], taus, cfg["n_designs"],
-            seed=ss.generate_state(1)[0], quadrature=quad,
+            spec, n, taus, n_designs, seed=ss.generate_state(1)[0], quadrature=quad,
         )
-        sp = nystrom_spectrum(spec, Quadrature.trapezoid(cfg["spectrum_m"], 0.0, 1.0),
-                              cfg["spectrum_p"], table=False)
+        sp = nystrom_spectrum(spec, sq, P, table=False)
         theory = np.array([asymptotic_imse(sp, t) for t in taus])
         name = f"figure1_h{h}.csv"
         _write_curve_csv(out / name, inv_tau, mean, stderr, theory)
@@ -303,6 +402,8 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
             "ideal_slope": -law.exponent,
             "r2": r2,
         }
+    _write_json(out / "figure1_report.json", report)
+    report["files"].append("figure1_report.json")
     return report
 
 
@@ -333,23 +434,35 @@ def _fit_log_constant(values: np.ndarray, shape: np.ndarray) -> float:
 
 
 def run_figure2(out_dir, seed: int, config: dict | None = None) -> dict:
-    """Learning curves for the 2-D tensorised Matern and 1-D Gaussian kernels."""
+    """Learning curves for the 2-D tensorised Matern and 1-D Gaussian kernels.
+
+    As ``run_figure1``: the report goes to ``figure2_report.json`` too.
+    """
     cfg = _merge_config(FIGURE2_DEFAULTS, config, "figure2")
+    n = _bounded(cfg["n"], MAX_POINTS, "figure2.n", 1)
+    n_designs = _bounded(cfg["n_designs"], MAX_COUNT, "figure2.n_designs", 1)
+    mc, gc = cfg["matern"], cfg["gaussian"]
+    for part, theta in (("matern", mc["theta"]), ("gaussian", gc["theta"])):
+        if not theta > 0:
+            raise ConfigError(f"figure2.{part}.theta: a lengthscale must be > 0, got {theta}")
+    # the Matern curve's log-log slope needs three points
+    inv_tau = _inv_tau_grid(mc, "figure2.matern", least=3)
+    with _at("figure2.matern.nu"):
+        spec = KernelSpec(family="matern_tensor", nu=mc["nu"], lengthscales=(mc["theta"], mc["theta"]))
+        law = rate_law("matern_tensor", nu=mc["nu"], d=2)
+    quad = _trapezoid_grid(mc["quad_m"], _UNIT_AXIS * 2, MAX_NODES, "figure2.matern.quad_m")
+    inv_tau_g = _inv_tau_grid(gc, "figure2.gaussian")
+    spec_g = KernelSpec(family="gaussian", lengthscales=(gc["theta"],))
+    quad_g = _trapezoid_grid(gc["quad_m"], _UNIT_AXIS, MAX_NODES, "figure2.gaussian.quad_m")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ss_mat, ss_gau = np.random.SeedSequence(seed).spawn(2)
     report = {"files": []}
 
-    mc = cfg["matern"]
-    inv_tau = np.geomspace(mc["inv_tau_min"], mc["inv_tau_max"], mc["inv_tau_count"])
     taus = 1.0 / inv_tau
-    spec = KernelSpec(family="matern_tensor", nu=mc["nu"], lengthscales=(mc["theta"], mc["theta"]))
-    quad = Quadrature.tensor_trapezoid(mc["quad_m"], ((0.0, 1.0), (0.0, 1.0)))
     mean, stderr = empirical_learning_curve(
-        spec, cfg["n"], taus, cfg["n_designs"],
-        seed=ss_mat.generate_state(1)[0], quadrature=quad,
+        spec, n, taus, n_designs, seed=ss_mat.generate_state(1)[0], quadrature=quad,
     )
-    law = rate_law("matern_tensor", nu=mc["nu"], d=2)
     shape = law.shape(taus)
     theory = _fit_log_constant(mean, shape) * shape
     _write_curve_csv(out / "figure2_matern2d.csv", inv_tau, mean, stderr, theory)
@@ -362,17 +475,11 @@ def run_figure2(out_dir, seed: int, config: dict | None = None) -> dict:
         "slope_gap": abs(emp_slope - th_slope),
     }
 
-    gc = cfg["gaussian"]
-    inv_tau_g = np.geomspace(gc["inv_tau_min"], gc["inv_tau_max"], gc["inv_tau_count"])
     taus_g = 1.0 / inv_tau_g
-    spec_g = KernelSpec(family="gaussian", lengthscales=(gc["theta"],))
-    quad_g = Quadrature.trapezoid(gc["quad_m"], 0.0, 1.0)
     mean_g, stderr_g = empirical_learning_curve(
-        spec_g, cfg["n"], taus_g, cfg["n_designs"],
-        seed=ss_gau.generate_state(1)[0], quadrature=quad_g,
+        spec_g, n, taus_g, n_designs, seed=ss_gau.generate_state(1)[0], quadrature=quad_g,
     )
-    law_g = rate_law("gaussian", d=1)
-    shape_g = law_g.shape(taus_g)
+    shape_g = rate_law("gaussian", d=1).shape(taus_g)
     # smallest constant whose tau*log(1/tau) curve stays above the data;
     # tightness says how far the curve sags below that envelope at worst
     c_g = float(np.max(mean_g / shape_g))
@@ -383,6 +490,8 @@ def run_figure2(out_dir, seed: int, config: dict | None = None) -> dict:
         "envelope_constant": c_g,
         "envelope_tightness": float(np.min(mean_g / theory_g)),
     }
+    _write_json(out / "figure2_report.json", report)
+    report["files"].append("figure2_report.json")
     return report
 
 
@@ -413,9 +522,28 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     held-out test grid.  The truth and noise variances at the design, its
     Gram matrix and its cross matrix to the test grid are built once and
     shared by every draw and predictor on the design: the pilot, each
-    step of the budget scan and both allocations.
+    step of the budget scan and both allocations.  The config is read and
+    checked whole before any work; the report's ``files`` lists every file
+    written.
     """
     cfg = _merge_config(CASE_STUDY_DEFAULTS, config, "casestudy")
+    n = _bounded(cfg["n"], MAX_POINTS, "casestudy.n", 1)
+    s0 = cfg["s0"]
+    # the noise estimate needs two replicates at every point
+    _bounded_replicates(s0, n, "casestudy.s0", least=2)
+    _bounded_replicates(cfg["s_scan_max"], n, "casestudy.s_scan_max", least=0)
+    eta = _trapezoid_grid(cfg["eta_m"], _UNIT_AXIS * 2, MAX_NODES, "casestudy.eta_m")
+    test_grid = _trapezoid_grid(cfg["test_grid"], _UNIT_AXIS * 2, MAX_POINTS, "casestudy.test_grid",
+                                "casestudy.test_grid point count").nodes
+    _bounded_replicates(cfg["test_s"], len(test_grid), "casestudy.test_s")
+    n_random, n_polish = (_bounded(cfg[k], MAX_COUNT, f"casestudy.{k}", 1)
+                          for k in ("n_random", "n_polish"))
+    for key, least in (("noise_level", 0.0), ("noise_contrast", 1.0)):
+        if not cfg[key] >= least:
+            raise ConfigError(f"casestudy.{key}: need at least {least}, got {cfg[key]}")
+    # the target is a fraction of the pilot IMSE
+    if not 0 < cfg["target_ratio"] < 1:
+        raise ConfigError(f"casestudy.target_ratio: need a fraction in (0, 1), got {cfg['target_ratio']}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     master = np.random.SeedSequence(seed)
@@ -428,7 +556,6 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
         noise_contrast=cfg["noise_contrast"],
         seed=seed,
     )
-    n, s0 = cfg["n"], cfg["s0"]
     design = latin_hypercube_design(n, 2, ss_design)
     truth, var = sim.truth_values(design.points), sim.noise_variance(design.points)
     obs0 = _draw(truth, var, s0, ss_obs0)
@@ -438,18 +565,16 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
         design, obs0.means,
         noise=noise_bar / s0,
         seed=int(ss_fit.generate_state(1)[0]),
-        n_random=cfg["n_random"],
-        n_polish=cfg["n_polish"],
+        n_random=n_random,
+        n_polish=n_polish,
     )
     kernel = KernelSpec(
         family="matern_tensor", nu=fit.nu, lengthscales=fit.theta, variance=fit.sigma2
     )
-    eta = Quadrature.tensor_trapezoid(cfg["eta_m"], design.measure.bounds)
     imse_t0 = heteroscedastic_imse(kernel, design, noise_pp, np.full(n, s0), eta)
 
     # held-out test grid; its reference values are replicate means, so a
     # noise floor of sigma_eps2_bar / test_s remains in every EMSE figure
-    test_grid = Quadrature.tensor_trapezoid(cfg["test_grid"], design.measure.bounds).nodes
     test_design = Design(test_grid, design.measure)
     test_values = sample_observations(sim, test_design, cfg["test_s"], ss_test).means
 

@@ -37,7 +37,8 @@ class Spectrum:
     residual_trace: float = 0.0
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float).ravel()
+        # copies, so freezing them leaves the caller's arrays writeable and unshared
+        lam = np.array(self.eigenvalues, dtype=float).ravel()
         if len(lam) == 0:
             raise ValueError("spectrum needs at least one eigenvalue")
         if np.any(lam < 0):
@@ -52,9 +53,9 @@ class Spectrum:
         if self.eigvec_table is not None:
             if self.nodes is None or self.weights is None:
                 raise ValueError("a node table requires nodes and weights")
-            nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
-            w = np.asarray(self.weights, dtype=float).ravel()
-            tab = np.asarray(self.eigvec_table, dtype=float)
+            nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
+            w = np.array(self.weights, dtype=float).ravel()
+            tab = np.array(self.eigvec_table, dtype=float)
             if tab.shape != (len(w), len(lam)) or len(nodes) != len(w):
                 raise ValueError("eigvec_table must be (n_nodes, n_eigenvalues)")
             for arr in (nodes, w, tab):

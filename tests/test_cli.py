@@ -565,6 +565,35 @@ EXPLICIT_OVERSIZED = {"type": "explicit", "nodes": np.linspace(0.0, 1.0, 20_001)
                       "weights": [1 / 20_001] * 20_001}
 FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spectrum_p": 10}
 
+# the figure and case-study rows of test_oversized_config_exits_2
+DRIVER_OVERSIZED = [
+    pytest.param("figure1", {"n": BIG}, "figure1.n", id="figure1-n"),
+    pytest.param("figure1", {"n_designs": BIG}, "figure1.n_designs", id="figure1-n_designs"),
+    pytest.param("figure1", {"inv_tau_count": BIG}, "figure1.inv_tau_count",
+                 id="figure1-inv_tau_count"),
+    pytest.param("figure1", {"quad_m": BIG}, "figure1.quad_m", id="figure1-quad_m"),
+    pytest.param("figure1", {"spectrum_m": BIG}, "figure1.spectrum_m", id="figure1-spectrum_m"),
+    pytest.param("figure2", {"n": BIG}, "figure2.n", id="figure2-n"),
+    pytest.param("figure2", {"n_designs": BIG}, "figure2.n_designs", id="figure2-n_designs"),
+    pytest.param("figure2", {"matern": {"quad_m": 200}}, "figure2.matern.quad_m node count",
+                 id="figure2-matern-quad_m"),
+    pytest.param("figure2", {"gaussian": {"quad_m": BIG}}, "figure2.gaussian.quad_m",
+                 id="figure2-gaussian-quad_m"),
+    pytest.param("figure2", {"gaussian": {"inv_tau_count": BIG}},
+                 "figure2.gaussian.inv_tau_count", id="figure2-inv_tau_count"),
+    pytest.param("casestudy", {"n": BIG}, "casestudy.n", id="casestudy-n"),
+    pytest.param("casestudy", {"test_grid": 200}, "casestudy.test_grid point count",
+                 id="casestudy-test_grid"),
+    pytest.param("casestudy", {"eta_m": 200}, "casestudy.eta_m node count", id="casestudy-eta_m"),
+    pytest.param("casestudy", {"n_random": BIG}, "casestudy.n_random", id="casestudy-n_random"),
+    pytest.param("casestudy", {"n_polish": BIG}, "casestudy.n_polish", id="casestudy-n_polish"),
+    pytest.param("casestudy", {"s0": BIG}, "casestudy.s0", id="casestudy-s0"),
+    pytest.param("casestudy", {"s_scan_max": BIG}, "casestudy.s_scan_max",
+                 id="casestudy-s_scan_max"),
+    pytest.param("casestudy", {"test_s": 2000}, "casestudy.test_s summed over the points",
+                 id="casestudy-test_s"),
+]
+
 
 @pytest.mark.parametrize("command,cfg,name", [
     pytest.param("spectrum", dict(SPECTRUM_CFG, measure={"type": "trapezoid", "m": BIG}),
@@ -612,31 +641,7 @@ FIGURE1_SMALL = {"n": 20, "n_designs": 1, "quad_m": 100, "spectrum_m": 100, "spe
                  "simulate.s", id="simulate-s-list"),
     pytest.param("simulate", dict(SIM_CFG, design={"type": "lhs", "n": 10_000}, s=1000),
                  "simulate.s summed over the points", id="simulate-s-total"),
-    pytest.param("figure1", {"n": BIG}, "figure1.n", id="figure1-n"),
-    pytest.param("figure1", {"n_designs": BIG}, "figure1.n_designs", id="figure1-n_designs"),
-    pytest.param("figure1", {"inv_tau_count": BIG}, "figure1.inv_tau_count",
-                 id="figure1-inv_tau_count"),
-    pytest.param("figure1", {"quad_m": BIG}, "figure1.quad_m", id="figure1-quad_m"),
-    pytest.param("figure1", {"spectrum_m": BIG}, "figure1.spectrum_m", id="figure1-spectrum_m"),
-    pytest.param("figure2", {"n": BIG}, "figure2.n", id="figure2-n"),
-    pytest.param("figure2", {"n_designs": BIG}, "figure2.n_designs", id="figure2-n_designs"),
-    pytest.param("figure2", {"matern": {"quad_m": 200}}, "figure2.matern.quad_m node count",
-                 id="figure2-matern-quad_m"),
-    pytest.param("figure2", {"gaussian": {"quad_m": BIG}}, "figure2.gaussian.quad_m",
-                 id="figure2-gaussian-quad_m"),
-    pytest.param("figure2", {"gaussian": {"inv_tau_count": BIG}},
-                 "figure2.gaussian.inv_tau_count", id="figure2-inv_tau_count"),
-    pytest.param("casestudy", {"n": BIG}, "casestudy.n", id="casestudy-n"),
-    pytest.param("casestudy", {"test_grid": 200}, "casestudy.test_grid point count",
-                 id="casestudy-test_grid"),
-    pytest.param("casestudy", {"eta_m": 200}, "casestudy.eta_m node count", id="casestudy-eta_m"),
-    pytest.param("casestudy", {"n_random": BIG}, "casestudy.n_random", id="casestudy-n_random"),
-    pytest.param("casestudy", {"n_polish": BIG}, "casestudy.n_polish", id="casestudy-n_polish"),
-    pytest.param("casestudy", {"s0": BIG}, "casestudy.s0", id="casestudy-s0"),
-    pytest.param("casestudy", {"s_scan_max": BIG}, "casestudy.s_scan_max",
-                 id="casestudy-s_scan_max"),
-    pytest.param("casestudy", {"test_s": 2000}, "casestudy.test_s summed over the points",
-                 id="casestudy-test_s"),
+    *DRIVER_OVERSIZED,
 ])
 def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     # every size is refused before anything of that size is allocated
@@ -653,6 +658,30 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert name in err and "above the limit" in err
     assert not (out / "run_manifest.json").exists()
+
+
+def _refuse_driver_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config should have been refused before this")
+
+    for name in ("empirical_learning_curve", "nystrom_spectrum", "latin_hypercube_design",
+                 "fit_hyperparameters"):
+        monkeypatch.setattr(sim_harness, name, refuse)
+
+
+DRIVERS = {"figure1": sim_harness.run_figure1, "figure2": sim_harness.run_figure2,
+           "casestudy": sim_harness.run_case_study}
+
+
+@pytest.mark.parametrize("command,cfg,name", DRIVER_OVERSIZED)
+def test_driver_refuses_oversized_config_before_any_work(command, cfg, name, monkeypatch, tmp_path):
+    # a library call gets the CLI's caps, before any work or output
+    _refuse_driver_work(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as e:
+        DRIVERS[command](out, 0, cfg)
+    assert name in str(e.value) and "above the limit" in str(e.value)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,cfg,name", [
@@ -802,6 +831,31 @@ def test_oversized_config_exits_2(command, cfg, name, tmp_path, capsys):
                  id="figure2-gaussian-inv_tau_max-negative"),
     # a simulator seed, like --seed, is a whole number >= 0
     pytest.param("simulate", dict(SIM_CFG, sim_seed=-1), "simulate.sim_seed", id="simulate-sim_seed-negative"),
+    # a driver's number outside the range its work accepts is refused before that work
+    pytest.param("figure1", {"spectrum_p": 0}, "figure1.spectrum_p", id="figure1-spectrum_p-zero"),
+    pytest.param("figure1", {"spectrum_p": 300}, "figure1.spectrum_p", id="figure1-spectrum_p-300"),
+    pytest.param("figure1", {"inv_tau_count": 2}, "figure1.inv_tau_count", id="figure1-inv_tau_count-2"),
+    pytest.param("figure1", {"n_designs": 0}, "figure1.n_designs", id="figure1-n_designs-zero"),
+    pytest.param("figure1", {"hurst": [1.5]}, "figure1.hurst", id="figure1-hurst-1.5"),
+    pytest.param("figure1", {"hurst": []}, "figure1.hurst", id="figure1-hurst-empty"),
+    pytest.param("figure2", {"matern": {"nu": 40}}, "figure2.matern.nu", id="figure2-matern-nu-40"),
+    pytest.param("figure2", {"matern": {"theta": -1}}, "figure2.matern.theta",
+                 id="figure2-matern-theta-negative"),
+    pytest.param("figure2", {"matern": {"inv_tau_count": 0}}, "figure2.matern.inv_tau_count",
+                 id="figure2-matern-inv_tau_count-zero"),
+    pytest.param("casestudy", {"s0": 1}, "casestudy.s0", id="casestudy-s0-1"),
+    pytest.param("casestudy", {"target_ratio": 2}, "casestudy.target_ratio",
+                 id="casestudy-target_ratio-2"),
+    pytest.param("casestudy", {"target_ratio": -1}, "casestudy.target_ratio",
+                 id="casestudy-target_ratio-negative"),
+    pytest.param("casestudy", {"n_polish": 0}, "casestudy.n_polish", id="casestudy-n_polish-zero"),
+    pytest.param("casestudy", {"noise_level": -1}, "casestudy.noise_level",
+                 id="casestudy-noise_level-negative"),
+    pytest.param("curve", dict(CURVE_CFG, theory={"spectrum_m": 1}), "curve.theory.spectrum_m",
+                 id="curve-spectrum_m-1"),
+    pytest.param("curve", dict(CURVE_CFG, n_designs=0), "curve.n_designs", id="curve-n_designs-zero"),
+    pytest.param("simulate", dict(SIM_CFG, design={"type": "lhs", "n": 0}), "simulate.design.n",
+                 id="simulate-design-n-zero"),
 ])
 def test_non_numeric_size_exits_2(command, cfg, name, tmp_path, capsys):
     rc, out = run_cli(command, tmp_path, cfg)
@@ -860,12 +914,7 @@ def test_measure_of_another_dimension_exits_2(command, cfg, key, tmp_path, capsy
 ])
 def test_grid_count_below_two_exits_2_before_any_work(command, cfg, key, monkeypatch, tmp_path,
                                                       capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the config should have been refused before this")
-
-    monkeypatch.setattr(sim_harness, "fit_hyperparameters", refuse)
-    for name in ("run_figure1", "run_figure2", "run_case_study"):
-        monkeypatch.setattr(cli, name, refuse)
+    _refuse_driver_work(monkeypatch)
     rc, out = run_cli(command, tmp_path, cfg)
     assert rc == 2
     err = capsys.readouterr().err

@@ -93,6 +93,17 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="quadrature nodes must be finite"):
             Quadrature(np.array([[0.1], [bad]]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("nodes", [np.array([[0.0], [1.0]]), np.array([0.0, 1.0])],
+                             ids=["2-d", "flat"])
+    def test_callers_arrays_stay_writeable_and_unshared(self, nodes):
+        w = np.array([0.5, 0.5])
+        q = Quadrature(nodes, w)
+        for arr in (nodes, w):
+            assert arr.flags.writeable
+            arr[0] = 0.25
+        assert q.nodes.ravel().tolist() == [0.0, 1.0]
+        assert q.weights.tolist() == [0.5, 0.5]
+
 
 class TestDesignAndObservations:
     def test_points_must_lie_in_box(self):

@@ -430,7 +430,10 @@ def fig1_run(tmp_path_factory):
 class TestFigure1Driver:
     def test_csv_well_formed(self, fig1_run):
         out, report = fig1_run
-        assert report["files"] == ["figure1_h0.5.csv"]
+        assert report["files"] == ["figure1_h0.5.csv", "figure1_report.json"]
+        # the written report lists the curve files
+        written = json.loads((out / "figure1_report.json").read_text())
+        assert written == dict(report, files=["figure1_h0.5.csv"])
         header, data = _read_csv(out / "figure1_h0.5.csv")
         assert header == ["inv_tau", "imse_mean", "imse_stderr", "theory_value"]
         assert data.shape == (5, 4)
@@ -479,8 +482,12 @@ def fig2_run(tmp_path_factory):
 class TestFigure2Driver:
     def test_files_and_headers(self, fig2_run):
         out, report = fig2_run
-        assert report["files"] == ["figure2_matern2d.csv", "figure2_gaussian1d.csv"]
-        for name in report["files"]:
+        curves = ["figure2_matern2d.csv", "figure2_gaussian1d.csv"]
+        assert report["files"] == [*curves, "figure2_report.json"]
+        # the written report lists the curve files
+        written = json.loads((out / "figure2_report.json").read_text())
+        assert written == dict(report, files=curves)
+        for name in curves:
             header, data = _read_csv(out / name)
             assert header == ["inv_tau", "imse_mean", "imse_stderr", "theory_value"]
             assert data.shape == (4, 4)

@@ -71,6 +71,18 @@ class TestSpectrumValidation:
         assert s.n_terms == 2
         assert s.trace() == pytest.approx(3.5)
 
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        lam, nodes = np.array([2.0, 1.0]), np.array([[0.0], [0.5], [1.0]])
+        w, tab = np.full(3, 1 / 3), np.arange(6.0).reshape(3, 2)
+        s = Spectrum(eigenvalues=lam, nodes=nodes, weights=w, eigvec_table=tab)
+        for arr in (lam, nodes, w, tab):
+            assert arr.flags.writeable
+            arr[0] = 99.0
+        assert s.eigenvalues.tolist() == [2.0, 1.0]
+        assert s.nodes.ravel().tolist() == [0.0, 0.5, 1.0]
+        assert np.all(s.weights == 1 / 3)
+        assert s.eigvec_table.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
 
 class TestNystromBasics:
     def test_constant_kernel_is_rank_one_projector(self):
