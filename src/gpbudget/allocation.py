@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _blas
 from .gp_core import Design, ImseOperator, Quadrature, _write_csv
 from .kernels import KernelSpec, kernel_diag
 
@@ -195,16 +196,18 @@ def plan_allocation(spec: KernelSpec, design: Design, noise, T: int, eta: Quadra
 
     ``uniform_imse`` is the IMSE of the same budget split as evenly as
     round_allocation allows, the baseline the optimum is compared with.
+    The plan is made under ``_blas.one_numpy_thread``.
     """
-    plan, op, sig2 = _real_allocation(spec, design, noise, T, eta)
-    s_int = round_allocation(plan.s_real, plan.budget)
-    s_uniform = round_allocation(np.full(plan.n, plan.budget / plan.n), plan.budget)
-    return replace(
-        plan,
-        s_int=s_int,
-        achieved_imse=op.imse(sig2 / s_int),
-        uniform_imse=op.imse(sig2 / s_uniform),
-    )
+    with _blas.one_numpy_thread():
+        plan, op, sig2 = _real_allocation(spec, design, noise, T, eta)
+        s_int = round_allocation(plan.s_real, plan.budget)
+        s_uniform = round_allocation(np.full(plan.n, plan.budget / plan.n), plan.budget)
+        return replace(
+            plan,
+            s_int=s_int,
+            achieved_imse=op.imse(sig2 / s_int),
+            uniform_imse=op.imse(sig2 / s_uniform),
+        )
 
 
 def save_plan_csv(path, design: Design, noise, plan: AllocationPlan) -> None:

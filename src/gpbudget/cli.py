@@ -42,7 +42,6 @@ from .planner import (
     DEFAULT_N_POLISH,
     DEFAULT_N_RANDOM,
     _checked_bounds,
-    estimate_noise,
     fit_hyperparameters,
     required_budget,
 )
@@ -282,7 +281,7 @@ def _cmd_allocate(cfg: dict | None, seed: int, out: Path) -> list[str]:
             if key in cfg:
                 raise ConfigError(f"allocate.data_csv and allocate.{key}: give one of them, not both")
         points, obs = _data_csv(cfg["data_csv"], "allocate.data_csv")
-        noise = obs.noise_var * obs.s
+        noise = obs.sigma_eps2
     elif "points" in cfg:
         points = _points(cfg["points"], spec.dim, "allocate.points")
         _bounded(len(points), MAX_POINTS, "allocate.points count")

@@ -1,8 +1,9 @@
 """BLUP fitting and prediction under heteroscedastic observation noise.
 
-Observations enter in a canonical form: per design point a mean value and
-the variance of that mean (sigma_eps^2(x_i) / s_i for s_i averaged
-replicates).  The predictor is the usual kriging mean
+Observations enter in a canonical form: per design point the mean of s_i
+runs, the variance sigma_eps^2(x_i) of one run and s_i.  The noise on the
+diagonal Delta is the variance of each mean, sigma_eps^2(x_i) / s_i, and
+the predictor is the usual kriging mean
 
     fhat(x) = m + k(x)' (K + Delta)^{-1} (z - m)
 
@@ -193,60 +194,54 @@ def _whole_counts(s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Averaged observations: mean value, variance of the mean, replicate count."""
+    """Averaged observations: per point the mean of ``s`` runs and the
+    variance ``sigma_eps2`` of one run.  The variance of each mean,
+    ``noise_var = sigma_eps2 / s``, is derived once here and read-only."""
 
     means: np.ndarray
-    noise_var: np.ndarray
+    sigma_eps2: np.ndarray
     s: np.ndarray
-    replicates: tuple | None = None
+    noise_var: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float).ravel()
-        nv = np.asarray(self.noise_var, dtype=float).ravel()
+        se2 = np.asarray(self.sigma_eps2, dtype=float).ravel()
         s = _whole_counts(self.s).ravel()
-        if not (len(means) == len(nv) == len(s)):
-            raise ValueError("means, noise_var and s must have equal length")
+        if not (len(means) == len(se2) == len(s)):
+            raise ValueError("means, sigma_eps2 and s must have equal length")
         if np.any(s < 1):
             raise ValueError("replication counts must be >= 1")
         if not np.all(np.isfinite(means)):
             raise ValueError("observation means must be finite")
-        if not np.all(np.isfinite(nv) & (nv >= 0)):
+        if not np.all(np.isfinite(se2) & (se2 >= 0)):
             raise ValueError("noise variances must be finite and >= 0")
-        for arr in (means, nv, s):
+        for name, arr in (("means", means), ("sigma_eps2", se2), ("s", s), ("noise_var", se2 / s)):
             arr.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "noise_var", nv)
-        object.__setattr__(self, "s", s)
-        if self.replicates is not None:
-            reps = tuple(np.asarray(r, dtype=float).ravel() for r in self.replicates)
-            if len(reps) != len(means) or any(len(r) != si for r, si in zip(reps, s)):
-                raise ValueError("replicate lists inconsistent with s")
-            object.__setattr__(self, "replicates", reps)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.means)
 
     @classmethod
-    def from_replicates(cls, replicates, noise_var=None) -> "ObservationSet":
+    def from_replicates(cls, replicates, sigma_eps2=None) -> "ObservationSet":
         """Build from raw replicate lists.
 
-        With ``noise_var`` omitted the variance of each mean is the
-        per-point sample variance over s_i - 1 divided by s_i, which
-        requires s_i >= 2 everywhere.
+        With ``sigma_eps2`` omitted each point's run variance is its sample
+        variance over s_i - 1, which requires s_i >= 2 everywhere.
         """
         reps = [np.asarray(r, dtype=float).ravel() for r in replicates]
         if not reps or any(len(r) < 1 for r in reps):
             raise ValueError("every point needs at least one replicate")
         s = np.array([len(r) for r in reps])
         means = np.array([r.mean() for r in reps])
-        if noise_var is None:
+        if sigma_eps2 is None:
             if np.any(s < 2):
                 raise ValueError(
                     "estimating noise from replicates requires s_i >= 2; "
-                    "pass noise_var explicitly otherwise"
+                    "pass sigma_eps2 explicitly otherwise"
                 )
-            noise_var = np.array([r.var(ddof=1) / len(r) for r in reps])
-        return cls(means, noise_var, s, replicates=tuple(reps))
+            sigma_eps2 = np.array([r.var(ddof=1) for r in reps])
+        return cls(means, sigma_eps2, s)
 
 
 @dataclass(frozen=True)
@@ -444,15 +439,15 @@ def save_observations_csv(path, points, obs: ObservationSet) -> None:
         raise ValueError("points and observations must have equal length")
     d = pts.shape[1]
     header = [f"x_{j + 1}" for j in range(d)] + ["z", "s", "sigma_eps2"]
-    columns = (obs.means.tolist(), obs.s.tolist(), (obs.noise_var * obs.s).tolist())
+    columns = (obs.means.tolist(), obs.s.tolist(), obs.sigma_eps2.tolist())
     _write_csv(path, header, (x + [z, s, e] for x, z, s, e in zip(pts.tolist(), *columns)))
 
 
 def load_observations_csv(path) -> tuple[np.ndarray, ObservationSet]:
     """Read a design/observation CSV in either accepted layout.
 
-    Layout A: x_1..x_d, z, s, sigma_eps2 (averaged form; noise_var is
-    sigma_eps2 / s).  Layout B: x_1..x_d, z_1..z_s (raw replicates, equal
+    Layout A: x_1..x_d, z, s, sigma_eps2 (averaged form, each column read
+    back exactly).  Layout B: x_1..x_d, z_1..z_s (raw replicates, equal
     count per row).  The header row is mandatory.
     """
     with open(path, newline="") as fh:
@@ -476,8 +471,7 @@ def load_observations_csv(path) -> tuple[np.ndarray, ObservationSet]:
         z, s, se2 = data[:, d], data[:, d + 1], data[:, d + 2]
         if not np.all(np.isfinite(se2) & (se2 >= 0)):
             raise ValueError(f"{path}: sigma_eps2 must be finite and >= 0")
-        obs = ObservationSet(z, se2 / s, s)
-        return pts, obs
+        return pts, ObservationSet(z, se2, s)
     if rest and all(re.fullmatch(r"z_\d+", h) for h in rest):
         reps = [data[i, d:] for i in range(len(data))]
         return pts, ObservationSet.from_replicates(reps)

@@ -82,21 +82,9 @@ class BudgetForecast:
 
 
 def estimate_noise(obs: ObservationSet) -> tuple[np.ndarray, float]:
-    """Per-point noise variances and their arithmetic mean.
-
-    With raw replicates attached, uses the unbiased sample variance over
-    s_i - 1 (requires s_i >= 2 everywhere).  Without replicates the
-    stored variance-of-the-mean entries are taken as externally supplied
-    and scaled back up by s_i.
-    """
-    if obs.replicates is not None:
-        if np.any(obs.s < 2):
-            raise ValueError(
-                "noise estimation from replicates needs s_i >= 2 at every point"
-            )
-        per_point = np.array([r.var(ddof=1) for r in obs.replicates])
-    else:
-        per_point = obs.noise_var * obs.s
+    """Per-point noise variances sigma_eps^2(x_i), a copy of
+    ``obs.sigma_eps2``, and their arithmetic mean."""
+    per_point = obs.sigma_eps2.copy()
     return per_point, float(per_point.mean())
 
 

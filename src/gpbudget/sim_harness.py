@@ -151,7 +151,9 @@ def sample_observations(sim: SyntheticSimulator, design: Design, s, seed) -> Obs
 
 def _draw(truth: np.ndarray, var: np.ndarray, s, seed) -> ObservationSet:
     """``s`` replicates around each ``truth`` value with noise variance ``var``,
-    one spawned stream per point (the draw behind ``sample_observations``)."""
+    one spawned stream per point (the draw behind ``sample_observations``).
+    Each point keeps the mean of its runs and their sample variance, or at
+    s = 1 the known ``var``."""
     n = len(truth)
     s_arr = _whole_counts(s)
     s = np.full(n, int(s_arr)) if s_arr.ndim == 0 else s_arr.ravel()
@@ -159,15 +161,13 @@ def _draw(truth: np.ndarray, var: np.ndarray, s, seed) -> ObservationSet:
         raise ValueError("replicate counts must match the design and be >= 1")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(n)
-    reps = []
-    noise_var = np.empty(n)
+    means, sigma_eps2 = np.empty(n), np.empty(n)
     for i in range(n):
         rng = np.random.default_rng(streams[i])
         z = truth[i] + math.sqrt(var[i]) * rng.standard_normal(s[i])
-        reps.append(z)
-        noise_var[i] = z.var(ddof=1) / s[i] if s[i] >= 2 else var[i] / s[i]
-    means = np.array([r.mean() for r in reps])
-    return ObservationSet(means, noise_var, s, replicates=tuple(reps))
+        means[i] = z.mean()
+        sigma_eps2[i] = z.var(ddof=1) if s[i] >= 2 else var[i]
+    return ObservationSet(means, sigma_eps2, s)
 
 
 def latin_hypercube_design(n: int, dim: int, seed, box: UniformBox | None = None) -> Design:
@@ -377,6 +377,9 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
     hursts = _numbers(cfg["hurst"], "figure1.hurst")
     if not hursts:
         raise ConfigError("figure1.hurst: need at least one Hurst value")
+    # each value names its own CSV
+    if len(set(hursts)) != len(hursts):
+        raise ConfigError(f"figure1.hurst: each Hurst value must appear once, got {hursts}")
     with _at("figure1.hurst"):
         specs = [KernelSpec(family="fbm", hurst=h) for h in hursts]
     out = Path(out_dir)
@@ -593,7 +596,9 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     nu_for_rate = max(fit.nu, 0.51)
     law = rate_law("matern_tensor", nu=nu_for_rate, d=2)
     target = cfg["target_ratio"] * imse_t0
-    forecast = required_budget(imse_t0, n * s0, noise_bar, law, target, n=n)
+    # the pilot budget T0 = n * s0 must reach the region where the fitted law decays
+    with _at("casestudy.n and casestudy.s0"):
+        forecast = required_budget(imse_t0, n * s0, noise_bar, law, target, n=n)
     t_pred = forecast.solved_T
     s_pred = forecast.s_per_point
 

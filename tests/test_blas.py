@@ -8,10 +8,11 @@ OpenBLAS is loaded, where the pin does nothing by design.
 import contextlib
 import json
 
+import numpy as np
 import pytest
 
-from gpbudget import _blas, cli, learning_curve
-from gpbudget.gp_core import Quadrature
+from gpbudget import _blas, allocation, cli, learning_curve
+from gpbudget.gp_core import Design, Quadrature
 from gpbudget.kernels import KernelSpec
 from gpbudget.cli import ConfigError, main
 
@@ -103,6 +104,23 @@ class TestOneNumpyThread:
             KernelSpec(family="brownian"), 8, [0.1, 0.01], 3, seed=2,
             quadrature=Quadrature.tensor_trapezoid(21, [(0.0, 1.0)]))
         assert seen == [(1, 3)] * 3
+        assert (own.threads, other.threads) == (4, 3)
+        assert own.set_to == [1, 4]
+
+    def test_allocation_plan_runs_pinned(self, fake_pair, monkeypatch):
+        own, other = fake_pair
+        seen = []
+        operator = allocation.ImseOperator
+
+        def recording(*args):
+            seen.append((own.threads, other.threads))
+            return operator(*args)
+
+        monkeypatch.setattr(allocation, "ImseOperator", recording)
+        design = Design(np.linspace(0.1, 0.9, 5)[:, None])
+        allocation.plan_allocation(KernelSpec(family="brownian"), design, np.full(5, 0.01), 20,
+                                   Quadrature.tensor_trapezoid(21, [(0.0, 1.0)]))
+        assert seen == [(1, 3)]
         assert (own.threads, other.threads) == (4, 3)
         assert own.set_to == [1, 4]
 

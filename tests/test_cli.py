@@ -838,6 +838,7 @@ def test_driver_refuses_oversized_config_before_any_work(command, cfg, name, mon
     pytest.param("figure1", {"n_designs": 0}, "figure1.n_designs", id="figure1-n_designs-zero"),
     pytest.param("figure1", {"hurst": [1.5]}, "figure1.hurst", id="figure1-hurst-1.5"),
     pytest.param("figure1", {"hurst": []}, "figure1.hurst", id="figure1-hurst-empty"),
+    pytest.param("figure1", {"hurst": [0.5, 0.5]}, "figure1.hurst", id="figure1-hurst-repeated"),
     pytest.param("figure2", {"matern": {"nu": 40}}, "figure2.matern.nu", id="figure2-matern-nu-40"),
     pytest.param("figure2", {"matern": {"theta": -1}}, "figure2.matern.theta",
                  id="figure2-matern-theta-negative"),
@@ -995,6 +996,38 @@ class TestFigureSubcommand:
         with open(out / "run_manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["outputs"] == ["figure1_h0.5.csv", "figure1_report.json"]
+
+
+CASESTUDY_SMALL = {"n": 30, "n_random": 30, "n_polish": 1, "test_grid": 10, "s_scan_max": 40,
+                   "eta_m": 21}
+
+
+class TestCaseStudySubcommand:
+    def test_allocate_reproduces_the_case_study_plan(self, tmp_path):
+        # the pilot CSV holds each point's sample variance exactly, so allocate
+        # on it, with the fitted kernel and the predicted budget, plans the same bytes
+        rc, study = run_cli("casestudy", tmp_path, CASESTUDY_SMALL, seed=1, name="study")
+        assert rc == 0
+        report = json.loads((study / "case_study.json").read_text())
+        fit = report["fit"]
+        cfg = {
+            "kernel": {"family": "matern_tensor", "nu": fit["nu"], "lengthscales": fit["theta"],
+                       "variance": fit["sigma2"]},
+            "data_csv": str(study / "pilot_observations.csv"),
+            "T": report["predicted_budget"],
+            "eta": {"type": "tensor_trapezoid", "m": 21},
+        }
+        rc, out = run_cli("allocate", tmp_path, cfg, name="plan")
+        assert rc == 0
+        assert (out / "plan.csv").read_bytes() == (study / "allocation.csv").read_bytes()
+
+    def test_pilot_budget_short_of_the_decay_law_names_its_keys(self, tmp_path, capsys):
+        # the check needs the fitted nu, so it comes after the fit
+        rc, out = run_cli("casestudy", tmp_path, {"n": 2, "n_random": 5, "n_polish": 1}, seed=1)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "casestudy.n" in err and "casestudy.s0" in err and "increase T0" in err
+        assert not (out / "run_manifest.json").exists()
 
 
 class TestEigenvectorsOnlyWhereRead:

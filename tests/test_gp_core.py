@@ -140,8 +140,8 @@ class TestDesignAndObservations:
     def test_from_replicates_single_needs_noise(self):
         with pytest.raises(ValueError):
             ObservationSet.from_replicates([[1.0]])
-        obs = ObservationSet.from_replicates([[1.0]], noise_var=[0.2])
-        assert obs.noise_var[0] == 0.2
+        obs = ObservationSet.from_replicates([[1.0]], sigma_eps2=[0.2])
+        assert obs.sigma_eps2[0] == obs.noise_var[0] == 0.2
 
 
 class TestFitBlup:
@@ -328,12 +328,14 @@ class TestCsvRoundTrip:
         assert obs2.s.tolist() == [4, 8]
 
     def test_averaged_layout_is_exact(self, tmp_path):
-        # 17 significant digits read back to the same doubles, s as ints
+        # 17 significant digits read back to the same doubles, s as ints, so
+        # the variance of each mean is the same double too, for every s
+        n = 999
         rng = np.random.default_rng(3)
-        pts = rng.uniform(0.0, 1.0, (25, 3))
-        means = rng.normal(0.0, 1.0, 25) * 10.0 ** rng.integers(-300, 300, 25)
-        noise_var = rng.uniform(0.0, 1.0, 25) / 3.0
-        obs = ObservationSet(means, noise_var, rng.integers(1, 1000, 25))
+        pts = rng.uniform(0.0, 1.0, (n, 3))
+        means = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
+        sigma_eps2 = rng.uniform(0.0, 1.0, n) / 3.0
+        obs = ObservationSet(means, sigma_eps2, np.arange(1, n + 1))
         path = tmp_path / "obs.csv"
         save_observations_csv(path, pts, obs)
         pts2, obs2 = load_observations_csv(path)
@@ -342,7 +344,9 @@ class TestCsvRoundTrip:
         assert obs2.s.dtype.kind == "i" and np.array_equal(obs2.s, obs.s)
         with open(path, newline="") as fh:
             column = [row["sigma_eps2"] for row in csv.DictReader(fh)]
-        assert np.array(column, dtype=float).tobytes() == (obs.noise_var * obs.s).tobytes()
+        assert np.array(column, dtype=float).tobytes() == sigma_eps2.tobytes()
+        assert obs2.sigma_eps2.tobytes() == sigma_eps2.tobytes()
+        assert obs2.noise_var.tobytes() == obs.noise_var.tobytes()
 
     def test_replicate_layout(self, tmp_path):
         path = tmp_path / "reps.csv"

@@ -61,20 +61,12 @@ class TestEstimateNoise:
         assert per_point[1] == pytest.approx(8.0)   # var([4,8], ddof=1)
         assert bar == pytest.approx(4.5)
 
-    def test_single_replicate_rejected(self):
-        obs = ObservationSet(
-            means=[1.0, 2.0],
-            noise_var=[0.1, 0.2],
-            s=[1, 2],
-            replicates=[np.array([1.0]), np.array([1.5, 2.5])],
-        )
-        with pytest.raises(ValueError, match="s_i >= 2"):
-            estimate_noise(obs)
-
-    def test_external_variances_scaled_by_s(self):
-        obs = ObservationSet(means=[0.0, 0.0], noise_var=[0.01, 0.02], s=[4, 5])
+    def test_external_variances_read_as_given(self):
+        # the run variances come back as given, whatever s, in a copy
+        obs = ObservationSet(means=[0.0, 0.0], sigma_eps2=[0.04, 0.1], s=[4, 5])
         per_point, bar = estimate_noise(obs)
-        np.testing.assert_allclose(per_point, [0.04, 0.1])
+        assert per_point.tolist() == [0.04, 0.1]
+        assert per_point.flags.writeable and not np.shares_memory(per_point, obs.sigma_eps2)
         assert bar == pytest.approx(0.07)
 
 

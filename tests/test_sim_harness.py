@@ -197,10 +197,8 @@ class TestSampleObservations:
         design = _square_design(np.random.default_rng(6).uniform(size=(5, 2)))
         a = sample_observations(sim, design, 4, seed=123)
         b = sample_observations(sim, design, 4, seed=123)
-        assert np.array_equal(a.means, b.means)
-        assert np.array_equal(a.noise_var, b.noise_var)
-        for ra, rb in zip(a.replicates, b.replicates):
-            assert np.array_equal(ra, rb)
+        for name in ("means", "sigma_eps2", "noise_var"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_different_seed_different_draws(self):
         sim = SyntheticSimulator(truth="sine1d", noise_level=1e-2)
@@ -215,7 +213,7 @@ class TestSampleObservations:
         )
         design = _line_design([0.1, 0.35, 0.6, 0.85])
         obs = sample_observations(sim, design, 1000, seed=77)
-        pooled = float(np.mean(obs.noise_var * obs.s))
+        pooled = float(np.mean(obs.sigma_eps2))
         assert abs(pooled - 0.01) <= 3.0 * math.sqrt(2.0 / 999.0) * 0.01
 
     def test_scalar_count_broadcasts(self):
@@ -238,9 +236,9 @@ class TestSampleObservations:
         design = _line_design([0.1, 0.5, 0.9])
         a = sample_observations(sim, design, [4, 4, 4], seed=11)
         b = sample_observations(sim, design, [4, 9, 4], seed=11)
-        assert np.array_equal(a.replicates[0], b.replicates[0])
-        assert np.array_equal(a.replicates[2], b.replicates[2])
-        assert len(b.replicates[1]) == 9
+        for name in ("means", "sigma_eps2"):
+            assert getattr(a, name)[[0, 2]].tobytes() == getattr(b, name)[[0, 2]].tobytes()
+        assert b.s.tolist() == [4, 9, 4]
 
     def test_single_replicate_uses_known_variance(self):
         sim = SyntheticSimulator(truth="sine1d", noise_field="constant", noise_level=0.04)
@@ -253,9 +251,12 @@ class TestSampleObservations:
         sim = SyntheticSimulator(truth="sine1d", noise_level=5e-3)
         design = _line_design([0.2, 0.6])
         obs = sample_observations(sim, design, 7, seed=21)
-        for i in range(2):
-            r = obs.replicates[i]
+        truth, var = sim.truth_values(design.points), sim.noise_variance(design.points)
+        # the same draws again, one spawned stream per point
+        for i, ss in enumerate(np.random.SeedSequence(21).spawn(2)):
+            r = truth[i] + math.sqrt(var[i]) * np.random.default_rng(ss).standard_normal(7)
             assert obs.means[i] == pytest.approx(r.mean(), rel=1e-14)
+            assert obs.sigma_eps2[i] == pytest.approx(r.var(ddof=1), rel=1e-12)
             assert obs.noise_var[i] == pytest.approx(r.var(ddof=1) / 7, rel=1e-12)
 
     def test_count_validation(self):
