@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _blas
 from .gp_core import Design, ImseOperator, Quadrature, _write_csv
-from .kernels import KernelSpec, kernel_diag
+from .kernels import KernelSpec, kernel_diag, _keep
 
 
 class InfeasibleBudgetError(ValueError):
@@ -30,7 +30,8 @@ class InfeasibleBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Replication counts for a budget T, real-valued and rounded."""
+    """Replication counts for a budget T, real-valued and rounded, each kept
+    as a read-only copy, so the sums checked here hold for the plan's life."""
 
     s_real: np.ndarray
     budget: int
@@ -41,21 +42,19 @@ class AllocationPlan:
     uniform_imse: float | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.s_real, dtype=float).ravel()
+        s = np.array(self.s_real, dtype=float).ravel()
         if np.any(s < 1 - 1e-9):
             raise ValueError("allocations must be >= 1")
         if abs(s.sum() - self.budget) > 1e-8 * max(self.budget, 1):
             raise ValueError("real allocation must exhaust the budget")
-        s.setflags(write=False)
-        object.__setattr__(self, "s_real", s)
-        if self.s_int is not None:
-            si = np.asarray(self.s_int).ravel().astype(int)
+        si = self.s_int
+        if si is not None:
+            si = np.asarray(si).ravel().astype(int)
             if si.sum() != self.budget:
                 raise ValueError("integer allocation must sum to the budget exactly")
             if np.any(np.abs(si - s) >= 1):
                 raise ValueError("rounded entries must stay within 1 of the real ones")
-            si.setflags(write=False)
-            object.__setattr__(self, "s_int", si)
+        _keep(self, s_real=s, s_int=si)
 
     @property
     def n(self) -> int:

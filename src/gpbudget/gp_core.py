@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
-from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points
+from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points, _keep
 
 _JITTER_SCALES = (1e-10, 1e-8)
 # ImseOperator.imse_scaled sums over the eigenvalues of K only where
@@ -64,7 +64,7 @@ class UniformBox:
         b = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         if not b or any(hi <= lo for lo, hi in b):
             raise ValueError("box bounds must satisfy lo < hi in every dimension")
-        object.__setattr__(self, "bounds", b)
+        _keep(self, bounds=b)
 
     @property
     def dim(self) -> int:
@@ -90,7 +90,6 @@ class Quadrature:
     weights: np.ndarray
 
     def __post_init__(self):
-        # a copy, so freezing it leaves the caller's array writeable and unshared
         raw = np.array(self.nodes, dtype=float)
         # a flat vector is a list of 1-D nodes, not one high-dimensional node
         nodes = raw[:, None] if raw.ndim == 1 else np.atleast_2d(raw)
@@ -106,11 +105,7 @@ class Quadrature:
         total = w.sum()
         if not np.isclose(total, 1.0, rtol=1e-8, atol=1e-12):
             raise ValueError(f"quadrature weights sum to {total}, expected 1")
-        w = w / total
-        nodes.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", w)
+        _keep(self, nodes=nodes, weights=w / total)
 
     @property
     def dim(self) -> int:
@@ -171,9 +166,7 @@ class Design:
             raise ValueError("design needs at least one point")
         if not self.measure.contains(pts):
             raise ValueError("design points fall outside the measure's support")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        _keep(self, points=pts.copy())
 
     @property
     def n(self) -> int:
@@ -195,8 +188,10 @@ def _whole_counts(s) -> np.ndarray:
 @dataclass(frozen=True)
 class ObservationSet:
     """Averaged observations: per point the mean of ``s`` runs and the
-    variance ``sigma_eps2`` of one run.  The variance of each mean,
-    ``noise_var = sigma_eps2 / s``, is derived once here and read-only."""
+    variance ``sigma_eps2`` of one run, each kept as a read-only copy.  The
+    variance of each mean, ``noise_var = sigma_eps2 / s``, is derived once
+    here from those copies, so no later edit of the caller's arrays can
+    part the two."""
 
     means: np.ndarray
     sigma_eps2: np.ndarray
@@ -204,8 +199,8 @@ class ObservationSet:
     noise_var: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float).ravel()
-        se2 = np.asarray(self.sigma_eps2, dtype=float).ravel()
+        means = np.array(self.means, dtype=float).ravel()
+        se2 = np.array(self.sigma_eps2, dtype=float).ravel()
         s = _whole_counts(self.s).ravel()
         if not (len(means) == len(se2) == len(s)):
             raise ValueError("means, sigma_eps2 and s must have equal length")
@@ -215,9 +210,7 @@ class ObservationSet:
             raise ValueError("observation means must be finite")
         if not np.all(np.isfinite(se2) & (se2 >= 0)):
             raise ValueError("noise variances must be finite and >= 0")
-        for name, arr in (("means", means), ("sigma_eps2", se2), ("s", s), ("noise_var", se2 / s)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _keep(self, means=means, sigma_eps2=se2, s=s, noise_var=se2 / s)
 
     def __len__(self) -> int:
         return len(self.means)
@@ -246,7 +239,8 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class Predictor:
-    """Fitted BLUP state; immutable after construction."""
+    """Fitted BLUP state; keeps read-only copies of ``noise``, ``chol`` and
+    ``weights``, so it is immutable after construction."""
 
     kernel: KernelSpec
     design: Design
@@ -257,10 +251,8 @@ class Predictor:
     jitter: float = 0.0
 
     def __post_init__(self):
-        for name in ("noise", "chol", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _keep(self, noise=np.array(self.noise, dtype=float), chol=np.array(self.chol, dtype=float),
+              weights=np.array(self.weights, dtype=float))
 
 
 def _factor_with_jitter(K: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, float]:
@@ -364,13 +356,8 @@ class ImseOperator:
 
     def __post_init__(self, points):
         nodes = self.quadrature.nodes
-        for name, arr in (
-            ("K", gram_matrix(self.kernel, points)),
-            ("Kq", cross_matrix(self.kernel, nodes, points)),
-            ("kq", kernel_diag(self.kernel, nodes)),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _keep(self, K=gram_matrix(self.kernel, points), Kq=cross_matrix(self.kernel, nodes, points),
+              kq=kernel_diag(self.kernel, nodes))
 
     def imse(self, noise_var) -> float:
         """IMSE under noise diagonal ``noise_var``, factorized as fit_blup does."""

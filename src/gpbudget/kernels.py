@@ -109,12 +109,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        object.__setattr__(self, "lengthscales", tuple(float(l) for l in self.lengthscales))
+        if not all(isinstance(l, numbers.Real) and not isinstance(l, bool) for l in self.lengthscales):
+            raise ValueError(f"lengthscales: expected finite numbers, got {self.lengthscales!r}")
+        _keep(self, lengthscales=tuple(float(l) for l in self.lengthscales))
         if not self.lengthscales:
             raise ValueError("lengthscales must not be empty")
         if not all(0 < l < math.inf for l in self.lengthscales):
             raise ValueError("lengthscales must all be finite and > 0")
-        if not 0 < self.variance < math.inf:
+        if not isinstance(self.variance, numbers.Real) or not 0 < self.variance < math.inf:
             raise ValueError("variance must be finite and > 0")
         if self.family in ("matern1d", "matern_tensor"):
             if not isinstance(self.nu, numbers.Real) or not NU_RANGE[0] <= self.nu <= NU_RANGE[1]:
@@ -125,8 +127,9 @@ class KernelSpec:
         if self.family == "fbm":
             if not isinstance(self.hurst, numbers.Real) or not 0 < self.hurst < 1:
                 raise ValueError("fbm requires hurst in (0, 1)")
-        # a nu or hurst is written by to_json even where the family ignores it
-        for name in ("nu", "hurst"):
+        # to_json writes each one given, a nu or hurst even where the family ignores
+        # it, so each must be a number from_json reads back: never a bool
+        for name in ("nu", "hurst", "variance"):
             if getattr(self, name) is not None:
                 _config_number(getattr(self, name), name)
         if self.family in _ONE_D_FAMILIES and len(self.lengthscales) != 1:
@@ -139,7 +142,7 @@ class KernelSpec:
                 raise ValueError("rank_terms weights must be finite and > 0")
             for _, b in terms:
                 _parse_basis_id(b)
-            object.__setattr__(self, "rank_terms", terms)
+            _keep(self, rank_terms=terms)
 
     @property
     def dim(self) -> int:
@@ -398,6 +401,18 @@ def _config_number(val, name: str, kind=float):
         if kind is float and abs(val) <= sys.float_info.max:
             return float(val)
     raise ValueError(f"{name}: expected {'whole' if kind is int else 'finite'} numbers, got {val!r}")
+
+
+def _keep(record, **values) -> None:
+    """Store ``values`` as fields of the frozen dataclass ``record``, each
+    ndarray made read-only first.  A record keeps only arrays it owns: one
+    it reads from its caller is a copy (``np.array``, never ``np.asarray``),
+    so freezing it leaves the caller's array writeable and unshared, and
+    one it builds itself is kept as built."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
 
 
 def _as_points(x, dim: int) -> np.ndarray:

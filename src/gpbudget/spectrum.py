@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .gp_core import Quadrature, _write_csv
-from .kernels import KernelSpec, cross_matrix, _as_points, _config_number
+from .kernels import KernelSpec, cross_matrix, _as_points, _config_number, _keep
 
 # the kernel entries one row block of the Nystrom matrix evaluates, so that no
 # kernel temporary is m x m
@@ -37,7 +37,6 @@ class Spectrum:
     residual_trace: float = 0.0
 
     def __post_init__(self):
-        # copies, so freezing them leaves the caller's arrays writeable and unshared
         lam = np.array(self.eigenvalues, dtype=float).ravel()
         if len(lam) == 0:
             raise ValueError("spectrum needs at least one eigenvalue")
@@ -47,9 +46,7 @@ class Spectrum:
             raise ValueError("eigenvalues must be nonincreasing")
         if self.residual_trace < -1e-8:
             raise ValueError("residual_trace must be nonnegative up to round-off")
-        lam.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "residual_trace", float(max(self.residual_trace, 0.0)))
+        _keep(self, eigenvalues=lam, residual_trace=float(max(self.residual_trace, 0.0)))
         if self.eigvec_table is not None:
             if self.nodes is None or self.weights is None:
                 raise ValueError("a node table requires nodes and weights")
@@ -58,11 +55,7 @@ class Spectrum:
             tab = np.array(self.eigvec_table, dtype=float)
             if tab.shape != (len(w), len(lam)) or len(nodes) != len(w):
                 raise ValueError("eigvec_table must be (n_nodes, n_eigenvalues)")
-            for arr in (nodes, w, tab):
-                arr.setflags(write=False)
-            object.__setattr__(self, "nodes", nodes)
-            object.__setattr__(self, "weights", w)
-            object.__setattr__(self, "eigvec_table", tab)
+            _keep(self, nodes=nodes, weights=w, eigvec_table=tab)
 
     @property
     def n_terms(self) -> int:

@@ -105,6 +105,15 @@ class TestKernelSpecValidation:
         with pytest.raises(ValueError, match=f"{key}: expected finite numbers"):
             KernelSpec(family=family, **{"nu": nu, key: bad})
 
+    @pytest.mark.parametrize("key,val", [
+        ("variance", True), ("variance", "1"), ("lengthscales", (True,)), ("lengthscales", ("0.3",)),
+    ], ids=["variance-bool", "variance-str", "lengthscales-bool", "lengthscales-str"])
+    def test_rejects_a_bool_or_string_variance_or_lengthscale(self, key, val):
+        # to_json would write a bool variance that from_json refuses, a string
+        # variance raised TypeError, and a bool or string lengthscale read as a float
+        with pytest.raises(ValueError, match=key):
+            KernelSpec(family="gaussian", **{key: val})
+
     def test_keeps_a_finite_nu_the_family_ignores(self):
         spec = KernelSpec(family="gaussian", nu=2.5, hurst=0.3)
         assert json.loads(json.dumps(spec.to_json(), allow_nan=False))["nu"] == 2.5
