@@ -15,13 +15,13 @@ determinism (descending fractional part, then original index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas
 from .gp_core import Design, ImseOperator, Quadrature, _write_csv
-from .kernels import KernelSpec, kernel_diag, _keep
+from .kernels import KernelSpec, _is_single_point, _keep
 
 
 class InfeasibleBudgetError(ValueError):
@@ -66,86 +66,72 @@ def local_imse_weight(spec: KernelSpec, x, eta: Quadrature):
 
     Scalar for a single point, vector for a stack of points.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 0 or (pts.ndim == 1 and (spec.dim > 1 or pts.size == 1))
     c = ImseOperator(spec, x, eta).local_weight()
-    return float(c[0]) if single else c
+    return float(c[0]) if _is_single_point(x, spec.dim) else c
 
 
-def optimal_real_allocation(
-    spec: KernelSpec,
-    design: Design,
-    noise,
-    T: int,
-    eta: Quadrature,
-) -> AllocationPlan:
-    """Real-valued budget split minimizing the IMSE for diagonal K.
+def optimal_real_allocation(spec: KernelSpec, design: Design, noise, T: int,
+                            eta: Quadrature) -> AllocationPlan:
+    """The budget split minimizing the IMSE for diagonal K: the plan of
+    ``plan_allocation``, its real split, rounding and both IMSE values.
 
     ``noise`` holds the per-observation variances sigma_eps^2(x_i) (all
     positive).  Requires T >= n; T == n forces one run everywhere.  For
     non-diagonal covariance matrices the same formulas are applied and
     the plan is flagged quasi-optimal.
     """
-    return _real_allocation(spec, design, noise, T, eta)[0]
+    return plan_allocation(spec, design, noise, T, eta)
 
 
-def _real_allocation(
-    spec: KernelSpec, design: Design, noise, T: int, eta: Quadrature
-) -> tuple[AllocationPlan, ImseOperator, np.ndarray]:
-    """optimal_real_allocation, also returning its operator and noise vector."""
+def _plan(op: ImseOperator, noise, T: int) -> AllocationPlan:
+    """The whole plan on one design's operator: the closed-form real split,
+    its rounding, and the IMSE of the rounded and of the uniform split.
+    The prior variances k(x_i, x_i) are the diagonal of ``op.K``."""
     sig2 = np.asarray(noise, dtype=float).ravel()
-    n = design.n
+    n = len(op.K)
     if len(sig2) != n:
         raise ValueError("noise vector length must match the design")
     if np.any(sig2 <= 0):
         raise ValueError("allocation requires strictly positive noise variances")
     T = int(T)
     if T < n:
-        raise InfeasibleBudgetError(
-            f"budget T={T} below n={n}; every design point needs one run"
-        )
-    kdiag = kernel_diag(spec, design.points)
+        raise InfeasibleBudgetError(f"budget T={T} below n={n}; every design point needs one run")
+    kdiag = np.diag(op.K)
     if np.any(kdiag <= 0):
         raise ValueError("allocation requires k(x_i, x_i) > 0 at every point")
-    op = ImseOperator(spec, design.points, eta)
     corr = np.abs(op.K) / np.sqrt(np.outer(kdiag, kdiag))
     np.fill_diagonal(corr, 0.0)
     quasi = bool(corr.max() > 1e-8)
 
-    if T == n:
-        return AllocationPlan(np.ones(n), T, n, quasi_optimal=quasi), op, sig2
-
-    c = op.local_weight()
-    g = (kdiag + sig2) / np.sqrt(c * sig2)
-    order = np.argsort(-g, kind="stable")
-    gs, ks, ss, cs = g[order], kdiag[order], sig2[order], c[order]
-    ratio_s_over_k = ss / ks
-    ratio_sqrt = np.sqrt(cs * ss) / ks
-    # suffix sums over j > i in the sorted order (1-based i)
-    suf_s = np.concatenate([np.cumsum(ratio_s_over_k[::-1])[::-1], [0.0]])
-    suf_r = np.concatenate([np.cumsum(ratio_sqrt[::-1])[::-1], [0.0]])
-    i_star = 0
-    for i in range(1, n):
-        den = suf_r[i]
-        if den <= 0:
-            continue
-        if gs[i - 1] >= (T - i + suf_s[i]) / den:
-            i_star = i
-    total = T - i_star + suf_s[i_star]
-    S = suf_r[i_star]
-    s_sorted = np.ones(n)
-    tail = slice(i_star, n)
-    s_sorted[tail] = (np.sqrt(cs[tail] * ss[tail]) / S * total - ss[tail]) / ks[tail]
-    s_sorted = np.maximum(s_sorted, 1.0)
-    s_real = np.empty(n)
-    s_real[order] = s_sorted
-    plan = AllocationPlan(
-        s_real=s_real,
-        budget=T,
-        i_star=i_star,
-        quasi_optimal=quasi,
-    )
-    return plan, op, sig2
+    i_star, s_real = n, np.ones(n)
+    if T > n:
+        c = op.local_weight()
+        g = (kdiag + sig2) / np.sqrt(c * sig2)
+        order = np.argsort(-g, kind="stable")
+        gs, ks, ss, cs = g[order], kdiag[order], sig2[order], c[order]
+        ratio_s_over_k = ss / ks
+        ratio_sqrt = np.sqrt(cs * ss) / ks
+        # suffix sums over j > i in the sorted order (1-based i)
+        suf_s = np.concatenate([np.cumsum(ratio_s_over_k[::-1])[::-1], [0.0]])
+        suf_r = np.concatenate([np.cumsum(ratio_sqrt[::-1])[::-1], [0.0]])
+        i_star = 0
+        for i in range(1, n):
+            den = suf_r[i]
+            if den <= 0:
+                continue
+            if gs[i - 1] >= (T - i + suf_s[i]) / den:
+                i_star = i
+        total = T - i_star + suf_s[i_star]
+        S = suf_r[i_star]
+        s_sorted = np.ones(n)
+        tail = slice(i_star, n)
+        s_sorted[tail] = (np.sqrt(cs[tail] * ss[tail]) / S * total - ss[tail]) / ks[tail]
+        s_real[order] = np.maximum(s_sorted, 1.0)
+    s_int = round_allocation(s_real, T)
+    s_uniform = round_allocation(np.full(n, T / n), T)
+    return AllocationPlan(s_real=s_real, budget=T, i_star=i_star, s_int=s_int,
+                          achieved_imse=op.imse(sig2 / s_int), quasi_optimal=quasi,
+                          uniform_imse=op.imse(sig2 / s_uniform))
 
 
 def round_allocation(s_real, T: int) -> np.ndarray:
@@ -191,22 +177,15 @@ def heteroscedastic_imse(spec: KernelSpec, design: Design, noise, s, eta: Quadra
 
 
 def plan_allocation(spec: KernelSpec, design: Design, noise, T: int, eta: Quadrature) -> AllocationPlan:
-    """Full pipeline: real optimum, rounding, achieved IMSE.
+    """Full pipeline: real optimum, rounding, achieved IMSE, all read from
+    one ``ImseOperator`` of the design and eta.
 
     ``uniform_imse`` is the IMSE of the same budget split as evenly as
     round_allocation allows, the baseline the optimum is compared with.
     The plan is made under ``_blas.one_numpy_thread``.
     """
     with _blas.one_numpy_thread():
-        plan, op, sig2 = _real_allocation(spec, design, noise, T, eta)
-        s_int = round_allocation(plan.s_real, plan.budget)
-        s_uniform = round_allocation(np.full(plan.n, plan.budget / plan.n), plan.budget)
-        return replace(
-            plan,
-            s_int=s_int,
-            achieved_imse=op.imse(sig2 / s_int),
-            uniform_imse=op.imse(sig2 / s_uniform),
-        )
+        return _plan(ImseOperator(spec, design.points, eta), noise, T)
 
 
 def save_plan_csv(path, design: Design, noise, plan: AllocationPlan) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
-from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points, _keep
+from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag, _as_points, _is_single_point, _keep
 
 _JITTER_SCALES = (1e-10, 1e-8)
 # ImseOperator.imse_scaled sums over the eigenvalues of K only where
@@ -295,10 +295,8 @@ def fit_blup(kernel: KernelSpec, design: Design, obs: ObservationSet, mean: floa
 
 
 def _cross(p: Predictor, x) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 0 or (pts.ndim == 1 and (p.design.dim > 1 or pts.size == 1))
     X = _as_points(x, p.design.dim)
-    return cross_matrix(p.kernel, X, p.design.points), single
+    return cross_matrix(p.kernel, X, p.design.points), _is_single_point(x, p.design.dim)
 
 
 def predict_mean(p: Predictor, x):

@@ -137,6 +137,8 @@ class KernelSpec:
         if self.family == "finite_rank":
             if not self.rank_terms:
                 raise ValueError("finite_rank requires nonempty rank_terms")
+            if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) for w, _ in self.rank_terms):
+                raise ValueError(f"rank_terms: expected finite numbers as weights, got {self.rank_terms!r}")
             terms = tuple((float(w), str(b)) for w, b in self.rank_terms)
             if not all(0 < w < math.inf for w, _ in terms):
                 raise ValueError("rank_terms weights must be finite and > 0")
@@ -427,6 +429,12 @@ def _as_points(x, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite coordinates")
     return pts
+
+
+def _is_single_point(x, dim: int) -> bool:
+    """Whether ``_as_points(x, dim)`` reads ``x`` as one point: a scalar, or a
+    vector that is one point in ``dim`` > 1 dimensions or holds one coordinate."""
+    return np.ndim(x) == 0 or (np.ndim(x) == 1 and (dim > 1 or np.size(x) == 1))
 
 
 # the orders whose triangle indices are kept, about 20 n^2 bytes each: a fit or a

@@ -24,9 +24,11 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .allocation import plan_allocation, heteroscedastic_imse, round_allocation, save_plan_csv
+from . import _blas
+from .allocation import _plan, round_allocation, save_plan_csv
 from .gp_core import (
     Design,
+    ImseOperator,
     ObservationSet,
     Quadrature,
     UniformBox,
@@ -36,7 +38,7 @@ from .gp_core import (
     _write_csv,
     _write_json,
 )
-from .kernels import KernelSpec, cross_matrix, gram_matrix, _as_points, _config_number
+from .kernels import KernelSpec, cross_matrix, _as_points, _config_number
 from .learning_curve import (
     asymptotic_imse,
     empirical_learning_curve,
@@ -522,12 +524,13 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     reaching a target accuracy, which is compared with the budget
     actually needed on fresh data; finally a uniform and an optimal
     replication allocation of the predicted budget are compared on a
-    held-out test grid.  The truth and noise variances at the design, its
-    Gram matrix and its cross matrix to the test grid are built once and
-    shared by every draw and predictor on the design: the pilot, each
-    step of the budget scan and both allocations.  The config is read and
-    checked whole before any work; the report's ``files`` lists every file
-    written.
+    held-out test grid.  The truth and noise variances at the design and
+    its cross matrix to the test grid are built once and shared by every
+    draw and predictor on the design: the pilot, each step of the budget
+    scan and both allocations.  One ``ImseOperator`` of the fitted design
+    gives the pilot IMSE, the plan (under ``_blas.one_numpy_thread``) and
+    every predictor's Gram matrix.  The config is read and checked whole
+    before any work; the report's ``files`` lists every file written.
     """
     cfg = _merge_config(CASE_STUDY_DEFAULTS, config, "casestudy")
     n = _bounded(cfg["n"], MAX_POINTS, "casestudy.n", 1)
@@ -574,20 +577,22 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     kernel = KernelSpec(
         family="matern_tensor", nu=fit.nu, lengthscales=fit.theta, variance=fit.sigma2
     )
-    imse_t0 = heteroscedastic_imse(kernel, design, noise_pp, np.full(n, s0), eta)
-
     # held-out test grid; its reference values are replicate means, so a
     # noise floor of sigma_eps2_bar / test_s remains in every EMSE figure
     test_design = Design(test_grid, design.measure)
     test_values = sample_observations(sim, test_design, cfg["test_s"], ss_test).means
 
+    # built after the test-grid truth, whose cross matrix to the KL grid is the
+    # run's peak memory: held through it, the operator added 1.2 MB to the peak
+    op = ImseOperator(kernel, design.points, eta)
+    imse_t0 = op.imse(noise_pp / s0)
+
     # every predictor below is the BLUP on the same design and kernel: its
     # squared test errors are the ones fit_blup and predict_mean give
-    K = gram_matrix(kernel, design.points)
     Kt = cross_matrix(kernel, test_design.points, design.points)
 
     def squared_errors(means, noise_var):
-        L, _ = _factor_with_jitter(K, noise_var)
+        L, _ = _factor_with_jitter(op.K, noise_var)
         w = cho_solve((L, True), means - fit.mean)
         return (fit.mean + Kt @ w - test_values) ** 2
 
@@ -619,7 +624,8 @@ def run_case_study(out_dir, seed: int, config: dict | None = None) -> dict:
     # uniform vs optimal split of the predicted budget
     ss_u, ss_o = ss_alloc.spawn(2)
     s_uniform = round_allocation(np.full(n, t_pred / n), t_pred)
-    plan = plan_allocation(kernel, design, noise_pp, t_pred, eta)
+    with _blas.one_numpy_thread():
+        plan = _plan(op, noise_pp, t_pred)
     table = {}
     for label, s_vec, imse, ss_run in (
         ("uniform", s_uniform, plan.uniform_imse, ss_u),

@@ -9,6 +9,7 @@ install; ``test_console_script_on_path`` runs the installed ``gpbudget``
 executable and is skipped when none is on ``PATH``.
 """
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -23,8 +24,9 @@ import numpy as np
 import pytest
 
 import gpbudget
-from gpbudget import __version__, cli, sim_harness
+from gpbudget import __version__, _blas, cli, kernels, sim_harness
 from gpbudget.cli import ConfigError, _HANDLERS, main
+from gpbudget.kernels import KernelSpec
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -1028,6 +1030,50 @@ class TestCaseStudySubcommand:
         err = capsys.readouterr().err
         assert "casestudy.n" in err and "casestudy.s0" in err and "increase T0" in err
         assert not (out / "run_manifest.json").exists()
+
+
+def test_case_study_builds_its_design_matrices_once_and_plans_pinned(tmp_path, monkeypatch):
+    # one ImseOperator of the fitted design gives the pilot IMSE, the plan
+    # and the predictors' Gram matrix
+    built = []
+
+    def counting(name, fn):
+        def wrapper(spec, *args, **kwargs):
+            out = fn(spec, *args, **kwargs)
+            built.append((name, spec, out.shape))
+            return out
+        return wrapper
+
+    for name in ("gram_matrix", "cross_matrix"):
+        fn = getattr(kernels, name)
+        for mod in [m for k, m in sys.modules.items() if k.startswith("gpbudget.")]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    depth, plans = [0], []
+    pin, plan = _blas.one_numpy_thread, sim_harness._plan
+
+    @contextlib.contextmanager
+    def counting_pin():
+        depth[0] += 1
+        try:
+            with pin():
+                yield
+        finally:
+            depth[0] -= 1
+
+    def recording_plan(*args):
+        plans.append(depth[0])
+        return plan(*args)
+
+    monkeypatch.setattr(_blas, "one_numpy_thread", counting_pin)
+    monkeypatch.setattr(sim_harness, "_plan", recording_plan)
+    fit = sim_harness.run_case_study(tmp_path, 1, CASESTUDY_SMALL)["fit"]
+    fitted = KernelSpec(family="matern_tensor", nu=fit["nu"], lengthscales=fit["theta"],
+                        variance=fit["sigma2"])
+    n, nodes = CASESTUDY_SMALL["n"], CASESTUDY_SMALL["eta_m"] ** 2
+    assert built.count(("gram_matrix", fitted, (n, n))) == 1
+    assert built.count(("cross_matrix", fitted, (nodes, n))) == 1
+    assert plans == [1]
 
 
 class TestEigenvectorsOnlyWhereRead:

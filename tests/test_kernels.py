@@ -86,9 +86,15 @@ class TestKernelSpecValidation:
         with pytest.raises(ValueError, match="variance must be finite"):
             KernelSpec(family="gaussian", variance=bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
     def test_rejects_non_finite_rank_weight(self, bad):
-        with pytest.raises(ValueError, match="weights must be finite"):
+        with pytest.raises(ValueError, match="weights must be finite and > 0"):
+            KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"), (bad, "cos:1")))
+
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "str"])
+    def test_rejects_a_bool_or_string_rank_weight(self, bad):
+        # from_json refuses both; the constructor read them as 1.0 and 0.5
+        with pytest.raises(ValueError, match="rank_terms"):
             KernelSpec(family="finite_rank", rank_terms=((1.0, "cos:0"), (bad, "cos:1")))
 
     def test_rejects_empty_lengthscales(self):
@@ -303,6 +309,15 @@ EVERY_FAMILY = [
 ]
 
 
+# EVERY_FAMILY, a second Hurst value and a general nu on one axis
+DIAGONAL_SPECS = [
+    *(pytest.param(s, id=s.family) for s in EVERY_FAMILY),
+    pytest.param(KernelSpec(family="fbm", hurst=0.75, variance=0.6), id="fbm-hurst0.75"),
+    pytest.param(KernelSpec(family="matern1d", nu=2.7, lengthscales=(0.35,), variance=0.9),
+                 id="matern1d-nu2.7"),
+]
+
+
 def _repeated_design(dim):
     """Points with repeated coordinates on every axis, and a repeated point."""
     X = np.random.default_rng(8).choice([0.0, 0.25, 0.5, 0.9, 1.0], size=(24, dim))
@@ -344,11 +359,16 @@ class TestGramMatrix:
         Y = np.random.default_rng(1).uniform(size=(7, 2))
         assert cross_matrix(spec, X, Y).shape == (4, 7)
 
-    @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=lambda s: s.family)
+    @pytest.mark.parametrize("spec", DIAGONAL_SPECS)
     def test_diag_matches_gram(self, spec):
-        X = _repeated_design(spec.dim)
-        assert np.array_equal(kernel_diag(spec, X), np.diag(cross_matrix(spec, X, X)))
-        assert np.array_equal(kernel_diag(spec, X), np.diag(gram_matrix(spec, X)))
+        # bitwise: allocation reads the prior variances k(x_i, x_i) off the Gram matrix
+        for X in (_repeated_design(spec.dim), _distinct_design(spec.dim)):
+            diag = np.asarray(kernel_diag(spec, X), dtype=float).tobytes()
+            assert np.diag(cross_matrix(spec, X, X)).tobytes() == diag
+            assert np.diag(gram_matrix(spec, X)).tobytes() == diag
+
+    def test_diagonal_specs_cover_every_family(self):
+        assert {p.values[0].family for p in DIAGONAL_SPECS} == set(kernels.FAMILIES)
 
     @pytest.mark.parametrize("spec, design", [
         *(pytest.param(s, _repeated_design, id=s.family) for s in EVERY_FAMILY),

@@ -6,6 +6,7 @@ rename in ``src/`` that drops one of those names would show up only in a
 traced benchmark run; this test catches it with the unit tests.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -33,3 +34,13 @@ def test_install_finds_every_target_and_uninstall_restores():
     finally:
         tracer.uninstall()
     assert gp_core.solve_triangular is scipy.linalg.solve_triangular
+
+
+def test_no_two_targets_are_one_function():
+    # a target is wrapped wherever a module binds its function, so two names
+    # bound to one function would wrap it twice and nest two spans per call
+    seen = {}
+    for _, home, name in _load_tracer().TARGETS:
+        fn = getattr(importlib.import_module(home), name)
+        assert id(fn) not in seen, f"{home}.{name} is {seen.get(id(fn))}"
+        seen[id(fn)] = f"{home}.{name}"
