@@ -37,7 +37,7 @@ from .gp_core import (
     Design, Quadrature, UniformBox, load_observations_csv, save_observations_csv, _write_json,
 )
 from .kernels import KernelSpec, _as_points, _config_number
-from .learning_curve import asymptotic_imse, empirical_learning_curve, rate_law
+from .learning_curve import rate_law
 from .planner import (
     DEFAULT_N_POLISH,
     DEFAULT_N_RANDOM,
@@ -47,8 +47,8 @@ from .planner import (
 )
 from .sim_harness import (
     MAX_BUDGET, MAX_COUNT, MAX_NODES, MAX_POINTS, ConfigError, SyntheticSimulator, _at, _bounded,
-    _bounded_replicates, _check_keys, _inv_tau_grid, _numbers, _term_count, _trapezoid_grid,
-    _typed_override, _write_curve_csv, latin_hypercube_design, run_case_study, run_figure1,
+    _bounded_replicates, _check_keys, _curve_with_limit, _inv_tau_grid, _numbers, _term_count,
+    _trapezoid_grid, _typed_override, latin_hypercube_design, run_case_study, run_figure1,
     run_figure2, sample_observations,
 )
 from .spectrum import nystrom_spectrum, save_spectrum_csv
@@ -178,7 +178,6 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
     n = _bounded(cfg["n"], MAX_POINTS, "curve.n", 1)
     n_designs = _bounded(cfg.get("n_designs", 10), MAX_COUNT, "curve.n_designs", 1)
     inv_tau = _inv_tau_from_cfg(cfg, "curve")
-    taus = 1.0 / inv_tau
     quad = (_parse_measure(cfg["quadrature"], "curve.quadrature", spec.dim)
             if "quadrature" in cfg else None)
     theory_cfg = cfg.get("theory", {})
@@ -188,13 +187,8 @@ def _cmd_curve(cfg: dict | None, seed: int, out: Path) -> list[str]:
                             "curve.theory.spectrum_m", int)
         sq = _trapezoid_grid(m1, [(0.0, 1.0)] * spec.dim, MAX_NODES, "curve.theory.spectrum_m")
         P = _term_count(theory_cfg.get("p", min(200, len(sq) // 10)), len(sq), "curve.theory.p")
-    mean, stderr = empirical_learning_curve(spec, n, taus, n_designs, seed, quadrature=quad)
-    if theory_cfg is False:
-        theory = np.full_like(mean, math.nan)
-    else:
-        s = nystrom_spectrum(spec, sq, P, table=False)
-        theory = np.array([asymptotic_imse(s, t) for t in taus])
-    _write_curve_csv(out / "curve.csv", inv_tau, mean, stderr, theory)
+    _curve_with_limit(out / "curve.csv", spec, n, inv_tau, n_designs, seed, quad,
+                      None if theory_cfg is False else (sq, P))
     return ["curve.csv"]
 
 

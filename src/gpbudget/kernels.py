@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
-from scipy.special import eval_legendre, gammaln, kv
+from scipy.special import digamma, eval_legendre, gamma, gammaln, kv
 
 FAMILIES = (
     "matern1d",
@@ -65,6 +65,7 @@ FAMILIES = (
 _ONE_D_FAMILIES = ("fbm", "brownian", "finite_rank")
 
 # below this scaled distance the Matern correlation is 1 to double precision
+# for nu >= 1; for nu < 1 it is 1 + c (u/2)^{2 nu} (``_bessel_factor``)
 _MATERN_U_FLOOR = 1e-10
 
 # The Bessel table spans log u from the floor to _BESSEL_TABLE_TOP, where
@@ -335,12 +336,16 @@ def _bessel_factor(u: np.ndarray, nu: float, gradient: bool = False):
     ``gradient`` the triple (F, S, D): S = -u dF/du = 2^{1-nu}/Gamma(nu)
     u^{nu+1} K_{nu-1}(u) and D = d log F / d nu at fixed u.
 
-    Each holds its u -> 0 limit, 1 or 0, up to _MATERN_U_FLOOR.  Then up to
-    _BESSEL_TABLE_TOP they come from the table nu's panel interpolates at
-    nu, located once: F = exp(g - u), S = F (u - g') and D = dg/dnu, from
-    one Clenshaw pass over the series of g, g' = dg/ds and dg/dnu.  Above
-    it F and S come from the direct ``kv`` formula, and D is 0, where F D
-    is below 1e-300.  nu must lie in ``NU_RANGE`` (``_nu_coef``).
+    Each holds its u -> 0 limit, 1 or 0, at u = 0 and, for nu >= 1, up to
+    _MATERN_U_FLOOR, where the next term of F is below one ulp.  For nu < 1
+    the entries up to the floor come from the series F = 1 + t, with
+    t = c (u/2)^{2 nu} and c = Gamma(-nu)/Gamma(nu), whose next terms are
+    O(u^2): S = -2 nu t and D = t (2 log(u/2) - psi(-nu) - psi(nu)) / F.
+    Then up to _BESSEL_TABLE_TOP they come from the table nu's panel
+    interpolates at nu, located once: F = exp(g - u), S = F (u - g') and
+    D = dg/dnu, from one Clenshaw pass over the series of g, g' = dg/ds and
+    dg/dnu.  Above it F and S come from the direct ``kv`` formula, and D is
+    0, where F D is below 1e-300.  nu must lie in ``NU_RANGE`` (``_nu_coef``).
     """
     coef = _nu_coef(nu)
     if gradient:
@@ -369,6 +374,15 @@ def _bessel_factor(u: np.ndarray, nu: float, gradient: bool = False):
         if gradient:
             S[near] = Fn * (un - g[1])
             D[near] = g[2]
+    if nu < 1:
+        tiny = (u > 0) & (u <= _MATERN_U_FLOOR)
+        if tiny.any():
+            half = u[tiny] / 2
+            t = gamma(-nu) / gamma(nu) * half ** (2 * nu)
+            F[tiny] = 1 + t
+            if gradient:
+                S[tiny] = -2 * nu * t
+                D[tiny] = t * (2 * np.log(half) - digamma(-nu) - digamma(nu)) / (1 + t)
     return (F, S, D) if gradient else F
 
 

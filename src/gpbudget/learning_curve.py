@@ -10,10 +10,12 @@ B_tau / 2 and B_tau where
 
     B_tau = sum_{lambda_p <= tau} lambda_p + tau * #{lambda_p > tau},
 
-which yields the closed-form decay rates per kernel family.  Truncated
-spectra leave an unknown tail; since each tail term is at most its
-eigenvalue, the tail lies in [0, residual_trace] and the midpoint is
-used as the point estimate.
+which yields the closed-form decay rates per kernel family.  A spectrum
+truncated after lambda_P leaves a tail of total mass R (its
+``residual_trace``).  Each tail term tau lambda/(tau + lambda) is at most
+lambda, and since every tail eigenvalue is at most lambda_P it is at least
+lambda tau/(tau + lambda_P); so the tail lies in [R tau/(tau + lambda_P), R]
+and the midpoint of that bracket is used as the point estimate.
 """
 
 from __future__ import annotations
@@ -93,11 +95,19 @@ def _truncated_imse_sum(lam: np.ndarray, tau: float) -> float:
 
 
 def asymptotic_imse_bounds(s: Spectrum, tau: float) -> tuple[float, float]:
-    """Lower/upper bounds [sum, sum + residual_trace] on the IMSE limit."""
+    """Lower/upper bounds [S + R tau/(tau + lambda_P), S + R] on the IMSE limit.
+
+    S is the truncated sum over the kept eigenvalues, lambda_P the last of
+    them and R the residual trace.  A tail term tau lambda/(tau + lambda)
+    lies between lambda tau/(tau + lambda_P) (it decreases in lambda once
+    divided by lambda, and lambda <= lambda_P) and lambda; summing over the
+    tail gives the bracket.  With R = 0 both ends are S.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     base = _truncated_imse_sum(s.eigenvalues, tau)
-    return base, base + s.residual_trace
+    R = s.residual_trace
+    return base + R * tau / (tau + float(s.eigenvalues[-1])), base + R
 
 
 def asymptotic_imse(s: Spectrum, tau: float) -> float:

@@ -347,6 +347,27 @@ def _write_curve_csv(path, inv_tau, mean, stderr, theory) -> None:
                zip(inv_tau, mean, stderr, theory))
 
 
+def _curve_with_limit(path, spec: KernelSpec, n: int, inv_tau: np.ndarray, n_designs: int,
+                      seed, quad: Quadrature | None,
+                      theory: tuple[Quadrature, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Write the Monte-Carlo learning curve of ``spec`` over ``inv_tau`` beside
+    its dense-design limit (``asymptotic_imse``) to the CSV at ``path``.
+
+    ``theory`` is the Nystrom quadrature and term count of the limit's
+    eigenvalues-only spectrum, or None for a NaN limit column.  Returns the
+    curve's mean and the limit column.
+    """
+    taus = 1.0 / inv_tau
+    mean, stderr = empirical_learning_curve(spec, n, taus, n_designs, seed, quadrature=quad)
+    if theory is None:
+        limit = np.full_like(mean, math.nan)
+    else:
+        sp = nystrom_spectrum(spec, *theory, table=False)
+        limit = np.array([asymptotic_imse(sp, t) for t in taus])
+    _write_curve_csv(path, inv_tau, mean, stderr, limit)
+    return mean, limit
+
+
 FIGURE1_DEFAULTS = {
     "n": 200,
     "n_designs": 10,
@@ -355,8 +376,8 @@ FIGURE1_DEFAULTS = {
     "inv_tau_count": 12,
     "hurst": [0.5, 0.9],
     "quad_m": 4000,
-    "spectrum_m": 2000,
-    "spectrum_p": 200,
+    "spectrum_m": 500,
+    "spectrum_p": 50,
 }
 
 
@@ -386,17 +407,12 @@ def run_figure1(out_dir, seed: int, config: dict | None = None) -> dict:
         specs = [KernelSpec(family="fbm", hurst=h) for h in hursts]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    taus = 1.0 / inv_tau
     streams = np.random.SeedSequence(seed).spawn(len(hursts))
     report = {"files": [], "curves": {}}
     for h, spec, ss in zip(hursts, specs, streams):
-        mean, stderr = empirical_learning_curve(
-            spec, n, taus, n_designs, seed=ss.generate_state(1)[0], quadrature=quad,
-        )
-        sp = nystrom_spectrum(spec, sq, P, table=False)
-        theory = np.array([asymptotic_imse(sp, t) for t in taus])
         name = f"figure1_h{h}.csv"
-        _write_curve_csv(out / name, inv_tau, mean, stderr, theory)
+        mean, theory = _curve_with_limit(out / name, spec, n, inv_tau, n_designs,
+                                         ss.generate_state(1)[0], quad, (sq, P))
         slope, _, r2 = fit_loglog_slope(inv_tau, mean)
         t_slope, _, _ = fit_loglog_slope(inv_tau, theory)
         law = rate_law("fbm", hurst=h)

@@ -557,8 +557,35 @@ class TestMaternGradientTriple:
         r = u / math.sqrt(2 * nu)
         rho, S, D = _matern_corr(r, nu, True)
         assert np.array_equal(rho, _matern_corr(r, nu))
-        # the u -> 0 limits, and no nu-derivative above the table's top
-        assert not S[:3].any() and not D[:3].any() and not D[-3:].any()
+        # the u -> 0 limits, held up to the floor for nu >= 1 (below it, for
+        # nu < 1, ``TestBelowTheFloor``), and no nu-derivative above the table's top
+        held = 3 if nu >= 1 else 1
+        assert not S[:held].any() and not D[:held].any() and not D[-3:].any()
+
+
+class TestBelowTheFloor:
+    """For nu < 1 the factor below _MATERN_U_FLOOR differs from 1 by (u/2)^{2 nu}."""
+
+    @pytest.mark.parametrize("nu", [1 / 16, 0.1, 0.25, 0.5])
+    def test_matches_the_direct_formula(self, nu):
+        u = np.array([1e-12, 0.999e-10])
+        F, S, D = _bessel_factor(u, nu, True)
+        np.testing.assert_allclose(F, _direct_bessel_factor(u, nu, nu), rtol=0, atol=1e-12)
+        # S = -u dF/du, a central difference in log u of the series itself
+        h = 1e-4
+        fd = -(_bessel_factor(u * math.exp(h), nu) - _bessel_factor(u * math.exp(-h), nu)) / (2 * h)
+        np.testing.assert_allclose(S, fd, rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(S, _direct_bessel_factor(u, nu, nu - 1) * u, rtol=1e-9, atol=1e-18)
+        # D = d log F / d nu at fixed u, against the direct formula
+        dn = 1e-5 * nu
+        fd = (np.log(_direct_bessel_factor(u, nu + dn, nu + dn))
+              - np.log(_direct_bessel_factor(u, nu - dn, nu - dn))) / (2 * dn)
+        np.testing.assert_allclose(D, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("nu", [1 / 16, 0.5, 1.0, 2.7071])
+    def test_coincident_points_keep_the_limits(self, nu):
+        F, S, D = _bessel_factor(np.array([0.0]), nu, True)
+        assert (F[0], S[0], D[0]) == (1.0, 0.0, 0.0)
 
 
 class TestNuPanels:

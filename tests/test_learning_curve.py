@@ -25,7 +25,7 @@ from gpbudget.gp_core import (
     fit_blup,
     integrated_mse,
 )
-from gpbudget.kernels import KernelSpec
+from gpbudget.kernels import KernelSpec, gram_matrix
 from gpbudget.learning_curve import (
     RateLaw,
     asymptotic_imse,
@@ -156,11 +156,61 @@ class TestAsymptoticImse:
         assert want == pytest.approx(0.18614718614718614, rel=1e-15)
 
     def test_bounds_spread_is_residual(self):
+        # the tail's lower edge is R tau/(tau + lambda_P) = 0.3 / 2
         s = Spectrum(eigenvalues=np.array([1.0]), residual_trace=0.3)
         lo, hi = asymptotic_imse_bounds(s, 1.0)
-        assert lo == pytest.approx(0.5)
+        assert lo == pytest.approx(0.65)
         assert hi == pytest.approx(0.8)
-        assert asymptotic_imse(s, 1.0) == pytest.approx(0.65)
+        assert asymptotic_imse(s, 1.0) == pytest.approx(0.725)
+
+    @staticmethod
+    def _check_bracket(lam, P, tau):
+        """Truncate the full nonincreasing spectrum ``lam`` at P: its bracket
+        holds the full sum, its lower edge is at least the truncated sum, and
+        with nothing dropped both edges are that sum."""
+        full = float(np.sum(tau * lam / (tau + lam)))
+        kept = Spectrum(eigenvalues=lam[:P], residual_trace=float(lam[P:].sum()))
+        S = float(np.sum(tau * lam[:P] / (tau + lam[:P])))
+        lo, hi = asymptotic_imse_bounds(kept, tau)
+        slack = 1e-12 * max(full, tau)
+        assert lo - slack <= full <= hi + slack
+        assert lo >= S
+        if kept.residual_trace == 0:
+            assert lo == hi == S
+            assert asymptotic_imse(kept, tau) == S
+
+    def test_bracket_holds_on_random_spectra(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            lam = np.sort(rng.exponential(size=rng.integers(1, 40)) ** rng.uniform(1, 6))[::-1]
+            self._check_bracket(lam, int(rng.integers(1, len(lam) + 1)), float(rng.uniform(1e-4, 10)))
+
+    @given(
+        lam=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12),
+        P=st.integers(1, 12),
+        tau=st.floats(1e-6, 10.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bracket_holds_on_any_spectrum(self, lam, P, tau):
+        lam = np.sort(np.asarray(lam))[::-1]
+        self._check_bracket(lam, min(P, len(lam)), tau)
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.9])
+    def test_nystrom_bracket_holds_the_operators_full_sum(self, hurst):
+        # figure1's default spectrum grid: 50 of the 500 eigenvalues of one
+        # discretized fBm operator bracket the sum over all 500, within 1e-3
+        # (at H = 1/2 the residual alone is 1.3-5.7% of it)
+        q = Quadrature.trapezoid(500)
+        spec = KernelSpec(family="fbm", hurst=hurst)
+        sw = np.sqrt(q.weights)
+        lam = np.linalg.eigvalsh(sw[:, None] * gram_matrix(spec, q.nodes) * sw[None, :])
+        lam = np.clip(lam, 0.0, None)
+        s = nystrom_spectrum(spec, q, 50, table=False)
+        for tau in 1.0 / np.geomspace(5.0, 100.0, 12):
+            full = float(np.sum(tau * lam / (tau + lam)))
+            lo, hi = asymptotic_imse_bounds(s, tau)
+            assert lo - 1e-12 * full <= full <= hi + 1e-12 * full
+            assert hi - lo < 1e-3 * full
 
     def test_brownian_limit_against_direct_summation(self):
         s = brownian_spectrum()

@@ -464,6 +464,18 @@ class TestFigure1Driver:
         b = (tmp_path / "figure1_h0.5.csv").read_bytes()
         assert a == b
 
+    def test_default_theory_column_matches_the_brownian_limit(self, tmp_path):
+        # At H = 1/2 the kernel is 2 min(s, t), whose dense-design limit is
+        # tanh(a)/a with a = sqrt(2/tau).  The column does not depend on the
+        # curve's n, designs or quadrature, so those are kept small; the
+        # spectrum keys keep their defaults.
+        run_figure1(tmp_path, seed=0, config={"n": 10, "n_designs": 1, "quad_m": 100,
+                                              "hurst": [0.5]})
+        _, data = _read_csv(tmp_path / "figure1_h0.5.csv")
+        a = np.sqrt(2 * data[:, 0])
+        assert len(data) == FIGURE1_DEFAULTS["inv_tau_count"]
+        np.testing.assert_allclose(data[:, 3], np.tanh(a) / a, rtol=1e-3, atol=0)
+
 
 FIG2_SMOKE = {
     "n": 40,
